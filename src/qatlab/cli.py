@@ -266,6 +266,8 @@ def task_toy(cfg: ExperimentConfig):
 
 
 def task_train(cfg: ExperimentConfig):
+    if cfg.epochs < 1:
+        raise ValueError("the ema_decay ablation needs epochs >= 1")
     dataset = build_dataset(cfg.dataset)
 
     def work(seed, run_dir):
@@ -511,34 +513,36 @@ def task_ablate(cfg: ExperimentConfig):
         _per_seed(cfg, work)
         return
 
+    if cfg.epochs < 1:
+        raise ValueError("the ema_decay ablation needs epochs >= 1")
     dataset = build_dataset(cfg.dataset)
 
     def work(seed, run_dir):
         start = time.perf_counter()
+        net = build_network(cfg, dataset, seed)
+        if cfg.pretrain_epochs:
+            train_latent(net, dataset, cfg.pretrain_epochs, cfg.batch, cfg.lr, seed)
+        qnet = attach_quantizers(
+            net,
+            dataset.calib_x,
+            bits_w=cfg.bits_w,
+            bits_a=cfg.bits_a,
+            first_last_bits=cfg.first_last_bits,
+            granularity=cfg.granularity,
+        )
+        tcfg = TrainConfig(
+            epochs=cfg.epochs,
+            batch=cfg.batch,
+            lr=cfg.lr,
+            ema_warmup_frac=cfg.ema.get("warmup_frac", 0.01),
+            seed=seed,
+        )
+        # EMA is passive, so one live run yields every decay's shadows.
+        _, _, _, histories = train_qat(qnet, dataset, tcfg, ema_alphas=cfg.ema_alphas)
         rows = []
         for alpha in cfg.ema_alphas:
-            net = build_network(cfg, dataset, seed)
-            if cfg.pretrain_epochs:
-                train_latent(net, dataset, cfg.pretrain_epochs, cfg.batch, cfg.lr, seed)
-            qnet = attach_quantizers(
-                net,
-                dataset.calib_x,
-                bits_w=cfg.bits_w,
-                bits_a=cfg.bits_a,
-                first_last_bits=cfg.first_last_bits,
-                granularity=cfg.granularity,
-            )
-            tcfg = TrainConfig(
-                epochs=cfg.epochs,
-                batch=cfg.batch,
-                lr=cfg.lr,
-                ema_alpha=alpha,
-                ema_warmup_frac=cfg.ema.get("warmup_frac", 0.01),
-                seed=seed,
-            )
-            _, _, _, history = train_qat(qnet, dataset, tcfg)
             row = {"alpha": alpha}
-            row.update(history[-1])
+            row.update(histories[alpha][-1])
             del row["epoch"]
             rows.append(row)
         header = ["alpha"] + [c for c in METRIC_COLUMNS if c != "epoch"]

@@ -107,6 +107,12 @@ class ExperimentConfig:
             raise ValueError(f"bad eval_mode {self.eval_mode!r}")
         if self.ablate_kind not in ("qc", "ema_decay"):
             raise ValueError(f"bad ablate_kind {self.ablate_kind!r}")
+        if (
+            not isinstance(self.ema_alphas, list)
+            or not self.ema_alphas
+            or not all(_is_decay(a) for a in self.ema_alphas)
+        ):
+            raise ValueError("ema_alphas must be a non-empty list of numbers in [0, 1)")
 
         _check_keys("dataset", self.dataset, _DATASET_KEYS)
         _check_keys("ema", self.ema, _EMA_KEYS)
@@ -115,13 +121,20 @@ class ExperimentConfig:
         kind = self.dataset.get("kind")
         if kind not in ("blobs", "spirals", "regression", "idx", "csv"):
             raise ValueError(f"dataset.kind must be a known generator, got {kind!r}")
-        alpha = self.ema.get("alpha", 0.999)
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError("ema.alpha must be in [0, 1)")
+        if not _is_decay(self.ema.get("alpha", 0.999)):
+            raise ValueError("ema.alpha must be a number in [0, 1)")
         if self.qc.get("source", "ema") not in ("ema", "live"):
             raise ValueError("qc.source must be 'ema' or 'live'")
         if self.qc.get("granularity", "per_channel") not in ("per_tensor", "per_channel"):
             raise ValueError("qc.granularity must be per_tensor or per_channel")
+
+
+def _is_decay(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0.0 <= value < 1.0
+    )
 
 
 def _check_keys(section, d, allowed):

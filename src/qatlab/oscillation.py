@@ -69,9 +69,11 @@ class ToyProblem:
 class OscillationTracker:
     """Windowed per-parameter flip counter over integer code snapshots.
 
-    Keeps the last `window` code snapshots; flip_counts holds the number of
+    Covers the last `window` code snapshots; flip_counts holds the number of
     code changes between consecutive snapshots still inside the window, so
-    each count is at most window - 1.
+    each count is at most window - 1.  Only the latest snapshot is kept,
+    plus one boolean change mask per transition inside the window, which is
+    all that eviction needs and an eighth of the bytes of int64 snapshots.
     """
 
     def __init__(self, window: int):
@@ -80,28 +82,30 @@ class OscillationTracker:
         self.window = window
         self.flip_counts = None
         self.scale_traces: dict = {}
+        self._last = None
         self._buf: deque = deque()
 
     @property
     def recorded(self) -> int:
-        return len(self._buf)
+        return 0 if self._last is None else len(self._buf) + 1
 
 
 def record_step(t: OscillationTracker, codes, scales=None) -> OscillationTracker:
     codes = np.asarray(codes)
-    if t._buf and codes.shape != t._buf[-1].shape:
-        raise ValueError(
-            f"code shape changed mid-run: {t._buf[-1].shape} -> {codes.shape}"
-        )
-    if t.flip_counts is None:
+    if t._last is None:
         t.flip_counts = np.zeros(codes.shape, dtype=np.int64)
-    if len(t._buf) == t.window:
-        # The oldest transition leaves the window.
-        t.flip_counts -= t._buf[0] != t._buf[1]
-        t._buf.popleft()
-    if t._buf:
-        t.flip_counts += t._buf[-1] != codes
-    t._buf.append(codes.copy())
+    else:
+        if codes.shape != t._last.shape:
+            raise ValueError(
+                f"code shape changed mid-run: {t._last.shape} -> {codes.shape}"
+            )
+        if len(t._buf) == t.window - 1:
+            # The oldest transition leaves the window.
+            t.flip_counts -= t._buf.popleft()
+        changed = t._last != codes
+        t.flip_counts += changed
+        t._buf.append(changed)
+    t._last = codes.copy()
     if scales:
         for name, value in scales.items():
             t.scale_traces.setdefault(name, []).append(float(value))

@@ -204,7 +204,10 @@ def qc_ablation(net, dataset, lr: float = 1e-4, batch: int = 32, seed: int = 0) 
 
     Returns ``result[granularity][variant]`` dicts with the calibration
     loss before/after fitting and the eval metrics of the corrected net.
+    ``fit_qc`` works on a copy, so the "before" loss is one evaluation
+    shared by every cell.
     """
+    before = evaluate(net, dataset.calib_x, dataset.calib_y, mode="quantized")
     result = {}
     for granularity in (PER_TENSOR, PER_CHANNEL):
         result[granularity] = {}
@@ -216,7 +219,6 @@ def qc_ablation(net, dataset, lr: float = 1e-4, batch: int = 32, seed: int = 0) 
                 use_shift=variant in ("shift", "both"),
                 batch=batch,
             )
-            before = evaluate(net, dataset.calib_x, dataset.calib_y, mode="quantized")
             corrected, _ = fit_qc(net, dataset.calib_x, dataset.calib_y, cfg, seed=seed)
             after = evaluate(corrected, dataset.calib_x, dataset.calib_y, mode="quantized")
             ev = evaluate(corrected, dataset.eval_x, dataset.eval_y, mode="quantized")

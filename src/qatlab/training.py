@@ -182,7 +182,7 @@ def train_latent(net, dataset, epochs: int, batch: int = 32, lr: float = 1e-3, s
     return net
 
 
-def train_qat(net, dataset, cfg: TrainConfig):
+def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
     """Quantization-aware training, in place on ``net``.
 
     Returns ``(net, ema_state, tracker, history)``.  The EMA shadows every
@@ -190,6 +190,13 @@ def train_qat(net, dataset, cfg: TrainConfig):
     concatenated integer weight codes so flip statistics can be read off
     afterwards.  ``cfg.epochs == 0`` leaves the net untouched and the
     history empty.
+
+    The shadows never feed back into training, so one live run serves any
+    number of decays.  With ``ema_alphas``, one shadow set is kept per decay
+    (in place of ``cfg.ema_alpha`` and ``cfg.ema_enabled``) and the return
+    is ``(net, {alpha: ema_state}, tracker, {alpha: history})``; each epoch
+    evaluates the live net once and each materialized shadow once, and every
+    alpha's history equals that of a separate run with that ``ema_alpha``.
     """
     rng = Rng(cfg.seed).child("qat")
     opt = AdamState(lr=cfg.lr)
@@ -200,14 +207,15 @@ def train_qat(net, dataset, cfg: TrainConfig):
     y_all = dataset.train_y
     iters_per_epoch = len(x_all) // cfg.batch
     total_iters = cfg.epochs * iters_per_epoch
-    ema = None
-    if cfg.ema_enabled:
-        ema = EMAState(
-            alpha=cfg.ema_alpha,
-            warmup_iters=int(round(cfg.ema_warmup_frac * total_iters)),
-        )
+    if ema_alphas is None:
+        alphas = [cfg.ema_alpha] if cfg.ema_enabled else []
+    else:
+        alphas = list(ema_alphas)
+    warmup_iters = int(round(cfg.ema_warmup_frac * total_iters))
+    emas = {alpha: EMAState(alpha=alpha, warmup_iters=warmup_iters) for alpha in alphas}
 
     history = []
+    shadow_histories = {alpha: [] for alpha in emas}
     for epoch in range(cfg.epochs):
         epoch_loss, epoch_batches = 0.0, 0
         for idx in batches(len(x_all), cfg.batch, drop_last=True, rng=rng):
@@ -226,7 +234,7 @@ def train_qat(net, dataset, cfg: TrainConfig):
             epoch_loss += loss
             epoch_batches += 1
             adam_step(opt, net.parameters(), grads)
-            if ema is not None:
+            for ema in emas.values():
                 ema_update(ema, net.parameters())
             if qlayers:
                 record_step(tracker, _weight_codes(net, qlayers), _scale_summary(net, qlayers))
@@ -239,11 +247,18 @@ def train_qat(net, dataset, cfg: TrainConfig):
         row["eval_loss"] = ev["loss"]
         if "accuracy" in ev:
             row["eval_accuracy"] = ev["accuracy"]
-        if ema is not None and ema.shadows:
-            shadow = materialize_ema(net, ema)
-            sev = evaluate(shadow, dataset.eval_x, dataset.eval_y, mode="quantized")
-            row["ema_eval_loss"] = sev["loss"]
-            if "accuracy" in sev:
-                row["ema_eval_accuracy"] = sev["accuracy"]
         history.append(row)
-    return net, ema, tracker, history
+        for alpha, ema in emas.items():
+            shadow_row = dict(row)
+            if ema.shadows:
+                shadow = materialize_ema(net, ema)
+                sev = evaluate(shadow, dataset.eval_x, dataset.eval_y, mode="quantized")
+                shadow_row["ema_eval_loss"] = sev["loss"]
+                if "accuracy" in sev:
+                    shadow_row["ema_eval_accuracy"] = sev["accuracy"]
+            shadow_histories[alpha].append(shadow_row)
+    if ema_alphas is not None:
+        return net, emas, tracker, shadow_histories
+    if not emas:
+        return net, None, tracker, history
+    return net, emas[cfg.ema_alpha], tracker, shadow_histories[cfg.ema_alpha]

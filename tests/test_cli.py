@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from qatlab import cli
 from qatlab.checkpoint import checkpoint_to_network, load_checkpoint
 from qatlab.cli import main
-from qatlab.training import evaluate
+from qatlab.config import resolve_config
+from qatlab.training import TrainConfig, attach_quantizers, evaluate, train_latent, train_qat
 
 
 def read_csv(path):
@@ -193,6 +195,53 @@ class TestAblate:
         shadow = {r[4] for r in rows}
         assert len(live) == 1 and len(shadow) == 2
 
+    def test_ema_decay_rows_equal_separate_runs(self, tmp_path):
+        overrides = ["ablate_kind=ema_decay", "ema_alphas=[0.9,0.99,0.999]", "epochs=2",
+                     "pretrain_epochs=1", "dataset.n=200"]
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        assert main(["ablate", "--out", str(tmp_path)] + sets) == 0
+        # Reference: the whole pipeline rerun once per alpha.
+        cfg = resolve_config(None, overrides, forced_task="ablate")
+        dataset = cli.build_dataset(cfg.dataset)
+        rows = []
+        for alpha in cfg.ema_alphas:
+            net = cli.build_network(cfg, dataset, 0)
+            train_latent(net, dataset, cfg.pretrain_epochs, cfg.batch, cfg.lr, 0)
+            qnet = attach_quantizers(net, dataset.calib_x, bits_w=cfg.bits_w,
+                                     bits_a=cfg.bits_a, first_last_bits=cfg.first_last_bits)
+            tcfg = TrainConfig(epochs=cfg.epochs, batch=cfg.batch, lr=cfg.lr, ema_alpha=alpha,
+                               ema_warmup_frac=cfg.ema["warmup_frac"], seed=0)
+            row = {"alpha": alpha, **train_qat(qnet, dataset, tcfg)[3][-1]}
+            del row["epoch"]
+            rows.append(row)
+        header = ["alpha"] + [c for c in cli.METRIC_COLUMNS if c != "epoch"]
+        cli.write_csv(tmp_path / "reference.csv", header, rows)
+        assert ((tmp_path / "ablate-seed0" / "ema_decay.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
+
+    def test_ema_decay_trains_once_per_seed(self, tmp_path, monkeypatch):
+        calls = {"train_latent": 0, "train_qat": 0}
+
+        def counting(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        assert main(["ablate", "--out", str(tmp_path), "--set", "ablate_kind=ema_decay",
+                     "--set", "ema_alphas=[0.9,0.99,0.999]", "--set", "seeds=[0,1]",
+                     "--set", "epochs=1", "--set", "pretrain_epochs=1",
+                     "--set", "dataset.n=200"]) == 0
+        assert calls == {"train_latent": 2, "train_qat": 2}
+        for seed in (0, 1):
+            _, rows = read_csv(tmp_path / f"ablate-seed{seed}" / "ema_decay.csv")
+            assert [r[0] for r in rows] == ["0.9", "0.99", "0.999"]
+
 
 class TestReport:
     def test_aggregates_mean_and_spread(self, tmp_path):
@@ -255,6 +304,15 @@ class TestErrors:
 
     def test_missing_checkpoint_path(self, tmp_path):
         assert main(["fold", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "override", ["ema_alphas=[1.0]", "ema_alphas=[]", 'ema_alphas=["x"]', "epochs=0"]
+    )
+    def test_bad_ema_decay_settings(self, tmp_path, override):
+        out = tmp_path / "out"
+        assert main(["ablate", "--out", str(out), "--set", "ablate_kind=ema_decay",
+                     "--set", override]) == 2
+        assert not out.exists()
 
     def test_cnn_needs_16_features(self, tmp_path):
         assert main(["train", "--out", str(tmp_path), "--set", "network=cnn",

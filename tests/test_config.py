@@ -58,6 +58,8 @@ class TestValidation:
     def test_bad_section_values(self):
         with pytest.raises(ValueError, match="ema.alpha"):
             ExperimentConfig(ema={"alpha": 1.0})
+        with pytest.raises(ValueError, match="ema.alpha"):
+            ExperimentConfig(ema={"alpha": "x"})
         with pytest.raises(ValueError, match="qc.source"):
             ExperimentConfig(qc={"source": "checkpoint"})
         with pytest.raises(ValueError, match="dataset.kind"):

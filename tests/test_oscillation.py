@@ -89,6 +89,19 @@ class TestTracker:
             record_step(t, codes)
         np.testing.assert_array_equal(t.flip_counts, windowed_recount(stream, window))
 
+    @pytest.mark.parametrize("window", [2, 3, 7])
+    def test_every_step_vs_recount_oracle(self, window):
+        # Random streams several windows long, so transitions are evicted.
+        rng = Rng(window)
+        t = OscillationTracker(window=window)
+        stream = []
+        for _ in range(5 * window):
+            codes = rng.integers(-2, 3, (6,))
+            stream.append(codes)
+            record_step(t, codes)
+            assert t.recorded == min(len(stream), window)
+            np.testing.assert_array_equal(t.flip_counts, windowed_recount(stream, window))
+
     def test_eviction_keeps_counts_windowed(self):
         # A burst of flips followed by a constant tail must fall out of the window.
         t = OscillationTracker(window=20)

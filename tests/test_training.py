@@ -250,6 +250,25 @@ class TestTrainQat:
         assert ema is None
         assert "ema_eval_loss" not in history[0]
 
+    def test_decay_sweep_matches_separate_runs(self):
+        # One live run with a shadow set per decay == one run per decay.
+        d, qnet = self._setup()
+        alphas = [0.9, 0.99, 0.999]
+        cfg = TrainConfig(epochs=2, seed=0)
+        live, emas, tracker, histories = train_qat(qnet.copy(), d, cfg, ema_alphas=alphas)
+        for alpha in alphas:
+            ref = qnet.copy()
+            _, ema, ref_tracker, history = train_qat(
+                ref, d, TrainConfig(epochs=2, seed=0, ema_alpha=alpha)
+            )
+            assert histories[alpha] == history
+            assert emas[alpha].iter == ema.iter
+            for name, shadow in ema.shadows.items():
+                np.testing.assert_array_equal(emas[alpha].shadows[name], shadow)
+            np.testing.assert_array_equal(tracker.flip_counts, ref_tracker.flip_counts)
+            for a, b in zip(live.parameters().values(), ref.parameters().values()):
+                np.testing.assert_array_equal(a, b)
+
     def test_divergence_guard(self):
         d, qnet = self._setup()
         cfg = TrainConfig(epochs=1, divergence_limit=1e-9)
