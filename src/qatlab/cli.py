@@ -266,8 +266,6 @@ def task_toy(cfg: ExperimentConfig):
 
 
 def task_train(cfg: ExperimentConfig):
-    if cfg.epochs < 1:
-        raise ValueError("the ema_decay ablation needs epochs >= 1")
     dataset = build_dataset(cfg.dataset)
 
     def work(seed, run_dir):

@@ -247,7 +247,8 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
         row["eval_loss"] = ev["loss"]
         if "accuracy" in ev:
             row["eval_accuracy"] = ev["accuracy"]
-        history.append(row)
+        if not emas:
+            history.append(row)
         for alpha, ema in emas.items():
             shadow_row = dict(row)
             if ema.shadows:
@@ -259,6 +260,4 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
             shadow_histories[alpha].append(shadow_row)
     if ema_alphas is not None:
         return net, emas, tracker, shadow_histories
-    if not emas:
-        return net, None, tracker, history
-    return net, emas[cfg.ema_alpha], tracker, shadow_histories[cfg.ema_alpha]
+    return net, emas.get(cfg.ema_alpha), tracker, shadow_histories.get(cfg.ema_alpha, history)

@@ -104,6 +104,14 @@ class TestTrain:
               "--set", "dampening_lambda=0.1"])
         assert read_manifest(tmp_path / "train-seed0")["method"] == "dampening"
 
+    def test_zero_epochs_saves_unchanged_qat_net(self, tmp_path):
+        """epochs=0 pretrains, attaches quantizers and saves without QAT."""
+        assert main(["train", "--out", str(tmp_path), "--set", "seeds=[0]",
+                     "--set", "epochs=0", "--set", "pretrain_epochs=1",
+                     "--set", "dataset.n=200"]) == 0
+        assert (tmp_path / "train-seed0" / "checkpoint.qat").exists()
+        assert read_manifest(tmp_path / "train-seed0")["status"] == "ok"
+
 
 class TestEval:
     def test_matches_training_log(self, train_run, tmp_path):
