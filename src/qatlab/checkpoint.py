@@ -127,7 +127,6 @@ def _quant_meta(q):
         "signed": q.signed,
         "granularity": q.granularity,
         "axis": q.axis,
-        "degenerate": q.degenerate,
     }
 
 
@@ -190,7 +189,6 @@ def checkpoint_to_network(ckpt: Checkpoint):
                 signed=m["signed"],
                 granularity=m["granularity"],
                 axis=m["axis"],
-                degenerate=m["degenerate"],
             )
 
         bn = None

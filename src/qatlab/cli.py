@@ -181,7 +181,7 @@ def build_network(cfg: ExperimentConfig, dataset: Dataset, seed: int):
 def method_name(cfg: ExperimentConfig) -> str:
     if cfg.dampening_lambda > 0:
         return "dampening"
-    if cfg.ema.get("enabled", True):
+    if cfg.ema["enabled"]:
         return "ema"
     return "plain"
 
@@ -204,14 +204,19 @@ def flip_stats(tracker):
 
 
 def _per_seed(cfg, work):
-    """Run ``work(seed, run_dir)`` for every seed; a failing seed gets a
-    flagged manifest over whatever partial artifacts it left, then the
-    original error propagates so the exit code reflects its kind."""
+    """Run ``work(seed, run_dir)`` for every seed.  ``work`` returns the
+    artifacts it wrote and the extra manifest fields, and gets an ``ok``
+    manifest.  A failing seed gets a flagged manifest over whatever partial
+    artifacts it left, then the original error propagates so the exit code
+    reflects its kind."""
     for seed in cfg.seeds:
         run_dir = run_dir_for(cfg, seed)
         start = time.perf_counter()
         try:
-            work(seed, run_dir)
+            artifacts, extra = work(seed, run_dir)
+            write_manifest(
+                run_dir, cfg, seed, time.perf_counter() - start, artifacts, **extra
+            )
         except (ValueError, RuntimeError, OSError) as exc:
             wall = time.perf_counter() - start
             existing = [p.name for p in run_dir.iterdir() if p.name != "manifest.json"]
@@ -221,11 +226,64 @@ def _per_seed(cfg, work):
             raise
 
 
+def _qat_run(cfg: ExperimentConfig, dataset, seed, ema_alphas=None):
+    """Build the network, pretrain it for ``pretrain_epochs``, attach
+    quantizers and run QAT; returns what ``train_qat`` returns."""
+    net = build_network(cfg, dataset, seed)
+    if cfg.pretrain_epochs:
+        train_latent(net, dataset, cfg.pretrain_epochs, cfg.batch, cfg.lr, seed)
+    qnet = attach_quantizers(
+        net,
+        dataset.calib_x,
+        bits_w=cfg.bits_w,
+        bits_a=cfg.bits_a,
+        first_last_bits=cfg.first_last_bits,
+        granularity=cfg.granularity,
+    )
+    tcfg = TrainConfig(
+        epochs=cfg.epochs,
+        batch=cfg.batch,
+        lr=cfg.lr,
+        ema_enabled=cfg.ema["enabled"],
+        ema_alpha=cfg.ema["alpha"],
+        ema_warmup_frac=cfg.ema["warmup_frac"],
+        dampening_lambda=cfg.dampening_lambda,
+        seed=seed,
+    )
+    return train_qat(qnet, dataset, tcfg, ema_alphas=ema_alphas)
+
+
+def _open_checkpoint(cfg: ExperimentConfig):
+    """Load ``cfg.checkpoint`` and rebuild its network and EMA state, plus
+    the dataset it was trained on (falling back to the current config).
+    Returns ``(ckpt, net, ema, dataset_spec, dataset)``; the spec is carried
+    into checkpoints written downstream."""
+    if not cfg.checkpoint:
+        raise ValueError(f"the {cfg.task} task needs a checkpoint path")
+    ckpt = load_checkpoint(cfg.checkpoint)
+    net, ema = checkpoint_to_network(ckpt)
+    spec = ckpt.config.get("experiment", {}).get("dataset") or cfg.dataset
+    return ckpt, net, ema, spec, build_dataset(spec)
+
+
+def _shadow_net(net, ema):
+    """``net`` with its parameters materialized from the EMA shadows."""
+    if ema is None or not ema.shadows:
+        raise RuntimeError("checkpoint has no EMA shadows")
+    return materialize_ema(net, ema)
+
+
+def _snapshot(cfg: ExperimentConfig, seed, dataset_spec) -> dict:
+    return {
+        "experiment": {**config_to_dict(cfg), "dataset": dict(dataset_spec)},
+        "seed": seed,
+    }
+
+
 def task_toy(cfg: ExperimentConfig):
     problem = ToyProblem(**cfg.toy)
 
     def work(seed, run_dir):
-        start = time.perf_counter()
         trace, tracker = run_toy(problem, use_ema=True, rng=Rng(seed))
         n = trace["w"].shape[1]
         header = (
@@ -247,20 +305,13 @@ def task_toy(cfg: ExperimentConfig):
                 + [trace["s_w"][t], trace["s_x"][t], trace["loss"][t], cum_flips[t]]
             )
         write_csv(run_dir / "toy_trace.csv", header, rows)
-        stats = flip_stats(tracker)
-        write_manifest(
-            run_dir,
-            cfg,
-            seed,
-            time.perf_counter() - start,
-            ["toy_trace.csv"],
-            final={
-                "final_loss": float(trace["loss"][-1]),
-                "final_eval_loss": float(trace["final_eval_loss"]),
-                "final_eval_loss_ema": float(trace["final_eval_loss_ema"]),
-                **stats,
-            },
-        )
+        final = {
+            "final_loss": float(trace["loss"][-1]),
+            "final_eval_loss": float(trace["final_eval_loss"]),
+            "final_eval_loss_ema": float(trace["final_eval_loss_ema"]),
+            **flip_stats(tracker),
+        }
+        return ["toy_trace.csv"], {"final": final}
 
     _per_seed(cfg, work)
 
@@ -269,29 +320,7 @@ def task_train(cfg: ExperimentConfig):
     dataset = build_dataset(cfg.dataset)
 
     def work(seed, run_dir):
-        start = time.perf_counter()
-        net = build_network(cfg, dataset, seed)
-        if cfg.pretrain_epochs:
-            train_latent(net, dataset, cfg.pretrain_epochs, cfg.batch, cfg.lr, seed)
-        qnet = attach_quantizers(
-            net,
-            dataset.calib_x,
-            bits_w=cfg.bits_w,
-            bits_a=cfg.bits_a,
-            first_last_bits=cfg.first_last_bits,
-            granularity=cfg.granularity,
-        )
-        tcfg = TrainConfig(
-            epochs=cfg.epochs,
-            batch=cfg.batch,
-            lr=cfg.lr,
-            ema_enabled=cfg.ema.get("enabled", True),
-            ema_alpha=cfg.ema.get("alpha", 0.999),
-            ema_warmup_frac=cfg.ema.get("warmup_frac", 0.01),
-            dampening_lambda=cfg.dampening_lambda,
-            seed=seed,
-        )
-        qnet, ema, tracker, history = train_qat(qnet, dataset, tcfg)
+        qnet, ema, tracker, history = _qat_run(cfg, dataset, seed)
         write_csv(run_dir / "metrics.csv", _history_columns(history), history)
         save_checkpoint(
             run_dir / "checkpoint.qat",
@@ -299,62 +328,20 @@ def task_train(cfg: ExperimentConfig):
         )
         final = dict(history[-1]) if history else {}
         final.update(flip_stats(tracker))
-        write_manifest(
-            run_dir,
-            cfg,
-            seed,
-            time.perf_counter() - start,
-            ["metrics.csv", "checkpoint.qat"],
-            method=method_name(cfg),
-            bits_w=cfg.bits_w,
-            final=final,
-        )
+        extra = {"method": method_name(cfg), "bits_w": cfg.bits_w, "final": final}
+        return ["metrics.csv", "checkpoint.qat"], extra
 
     _per_seed(cfg, work)
 
 
-def _load_source_net(cfg: ExperimentConfig):
-    """Load the checkpoint and pick the live or EMA-materialized network."""
-    if not cfg.checkpoint:
-        raise ValueError(f"the {cfg.task} task needs a checkpoint path")
-    ckpt = load_checkpoint(cfg.checkpoint)
-    net, ema = checkpoint_to_network(ckpt)
-    source = cfg.qc.get("source", "ema")
-    if cfg.task in ("qc", "ablate") and source == "ema":
-        if ema is None or not ema.shadows:
-            raise RuntimeError("checkpoint has no EMA shadows to correct from")
-        net = materialize_ema(net, ema)
-    return ckpt, net, ema
-
-
-def _dataset_for_checkpoint(cfg: ExperimentConfig, ckpt):
-    """The dataset the checkpoint was trained on, falling back to the
-    current config.  Returns (spec, dataset) so the spec can be carried
-    into checkpoints written downstream."""
-    spec = ckpt.config.get("experiment", {}).get("dataset") or cfg.dataset
-    return spec, build_dataset(spec)
-
-
-def _snapshot(cfg: ExperimentConfig, seed, dataset_spec) -> dict:
-    return {
-        "experiment": {**config_to_dict(cfg), "dataset": dict(dataset_spec)},
-        "seed": seed,
-    }
-
-
 def task_qc(cfg: ExperimentConfig):
-    ckpt, net, _ = _load_source_net(cfg)
-    dataset_spec, dataset = _dataset_for_checkpoint(cfg, ckpt)
-    qcfg = QCConfig(
-        lr=cfg.qc.get("lr", 1e-4),
-        granularity=cfg.qc.get("granularity", "per_channel"),
-        use_scale=cfg.qc.get("use_scale", True),
-        use_shift=cfg.qc.get("use_shift", True),
-        batch=cfg.qc.get("batch", 32),
-    )
+    ckpt, net, ema, dataset_spec, dataset = _open_checkpoint(cfg)
+    source = cfg.qc["source"]
+    if source == "ema":
+        net = _shadow_net(net, ema)
+    qcfg = QCConfig(**{k: v for k, v in cfg.qc.items() if k != "source"})
 
     def work(seed, run_dir):
-        start = time.perf_counter()
         calib_before = evaluate(net, dataset.calib_x, dataset.calib_y)
         eval_before = evaluate(net, dataset.eval_x, dataset.eval_y)
         corrected, _params = fit_qc(net, dataset.calib_x, dataset.calib_y, qcfg, seed=seed)
@@ -374,30 +361,20 @@ def task_qc(cfg: ExperimentConfig):
             run_dir / "qc_checkpoint.qat",
             network_to_checkpoint(corrected, _snapshot(cfg, seed, dataset_spec)),
         )
-        source = cfg.qc.get("source", "ema")
-        write_manifest(
-            run_dir,
-            cfg,
-            seed,
-            time.perf_counter() - start,
-            ["qc_metrics.csv", "qc_checkpoint.qat"],
-            method="ema_qc" if source == "ema" else "qc",
-            bits_w=ckpt.config.get("experiment", {}).get("bits_w", cfg.bits_w),
-            final=row,
-        )
+        extra = {
+            "method": "ema_qc" if source == "ema" else "qc",
+            "bits_w": ckpt.config.get("experiment", {}).get("bits_w", cfg.bits_w),
+            "final": row,
+        }
+        return ["qc_metrics.csv", "qc_checkpoint.qat"], extra
 
     _per_seed(cfg, work)
 
 
 def task_fold(cfg: ExperimentConfig):
-    if not cfg.checkpoint:
-        raise ValueError("the fold task needs a checkpoint path")
-    ckpt = load_checkpoint(cfg.checkpoint)
-    net, _ = checkpoint_to_network(ckpt)
-    dataset_spec, dataset = _dataset_for_checkpoint(cfg, ckpt)
+    _, net, _, dataset_spec, dataset = _open_checkpoint(cfg)
 
     def work(seed, run_dir):
-        start = time.perf_counter()
         frozen = net.copy()
         for layer in frozen.layers:
             if layer.bn is not None:
@@ -425,32 +402,18 @@ def task_fold(cfg: ExperimentConfig):
             run_dir / "folded_checkpoint.qat",
             network_to_checkpoint(folded, _snapshot(cfg, seed, dataset_spec)),
         )
-        write_manifest(
-            run_dir,
-            cfg,
-            seed,
-            time.perf_counter() - start,
-            ["fold_report.csv", "folded_checkpoint.qat"],
-            final=row,
-        )
+        return ["fold_report.csv", "folded_checkpoint.qat"], {"final": row}
 
     _per_seed(cfg, work)
 
 
 def task_eval(cfg: ExperimentConfig):
-    if not cfg.checkpoint:
-        raise ValueError("the eval task needs a checkpoint path")
-    ckpt = load_checkpoint(cfg.checkpoint)
-    net, ema = checkpoint_to_network(ckpt)
-    _, dataset = _dataset_for_checkpoint(cfg, ckpt)
+    _, net, ema, _, dataset = _open_checkpoint(cfg)
 
     def work(seed, run_dir):
-        start = time.perf_counter()
         target, mode = net, cfg.eval_mode
         if mode == "ema_quantized":
-            if ema is None or not ema.shadows:
-                raise RuntimeError("checkpoint has no EMA shadows to evaluate")
-            target, mode = materialize_ema(net, ema), "quantized"
+            target, mode = _shadow_net(net, ema), "quantized"
         result = evaluate(
             target, dataset.eval_x, dataset.eval_y, mode=mode, k=cfg.soft_round_k
         )
@@ -458,31 +421,20 @@ def task_eval(cfg: ExperimentConfig):
         if "accuracy" in result:
             row["accuracy"] = result["accuracy"]
         write_csv(run_dir / "eval.csv", list(row), [row])
-        write_manifest(
-            run_dir,
-            cfg,
-            seed,
-            time.perf_counter() - start,
-            ["eval.csv"],
-            final=row,
-        )
+        return ["eval.csv"], {"final": row}
 
     _per_seed(cfg, work)
 
 
 def task_ablate(cfg: ExperimentConfig):
     if cfg.ablate_kind == "qc":
-        ckpt, net, _ = _load_source_net(cfg)
-        _, dataset = _dataset_for_checkpoint(cfg, ckpt)
+        _, net, ema, _, dataset = _open_checkpoint(cfg)
+        if cfg.qc["source"] == "ema":
+            net = _shadow_net(net, ema)
 
         def work(seed, run_dir):
-            start = time.perf_counter()
             table = qc_ablation(
-                net,
-                dataset,
-                lr=cfg.qc.get("lr", 1e-4),
-                batch=cfg.qc.get("batch", 32),
-                seed=seed,
+                net, dataset, lr=cfg.qc["lr"], batch=cfg.qc["batch"], seed=seed
             )
             header = [
                 "granularity",
@@ -499,14 +451,7 @@ def task_ablate(cfg: ExperimentConfig):
                     cell.update({"granularity": gran, "variant": variant})
                     rows.append(cell)
             write_csv(run_dir / "ablation.csv", header, rows)
-            write_manifest(
-                run_dir,
-                cfg,
-                seed,
-                time.perf_counter() - start,
-                ["ablation.csv"],
-                final={"cells": len(rows)},
-            )
+            return ["ablation.csv"], {"final": {"cells": len(rows)}}
 
         _per_seed(cfg, work)
         return
@@ -516,27 +461,8 @@ def task_ablate(cfg: ExperimentConfig):
     dataset = build_dataset(cfg.dataset)
 
     def work(seed, run_dir):
-        start = time.perf_counter()
-        net = build_network(cfg, dataset, seed)
-        if cfg.pretrain_epochs:
-            train_latent(net, dataset, cfg.pretrain_epochs, cfg.batch, cfg.lr, seed)
-        qnet = attach_quantizers(
-            net,
-            dataset.calib_x,
-            bits_w=cfg.bits_w,
-            bits_a=cfg.bits_a,
-            first_last_bits=cfg.first_last_bits,
-            granularity=cfg.granularity,
-        )
-        tcfg = TrainConfig(
-            epochs=cfg.epochs,
-            batch=cfg.batch,
-            lr=cfg.lr,
-            ema_warmup_frac=cfg.ema.get("warmup_frac", 0.01),
-            seed=seed,
-        )
         # EMA is passive, so one live run yields every decay's shadows.
-        _, _, _, histories = train_qat(qnet, dataset, tcfg, ema_alphas=cfg.ema_alphas)
+        _, _, _, histories = _qat_run(cfg, dataset, seed, ema_alphas=cfg.ema_alphas)
         rows = []
         for alpha in cfg.ema_alphas:
             row = {"alpha": alpha}
@@ -545,14 +471,7 @@ def task_ablate(cfg: ExperimentConfig):
             rows.append(row)
         header = ["alpha"] + [c for c in METRIC_COLUMNS if c != "epoch"]
         write_csv(run_dir / "ema_decay.csv", header, rows)
-        write_manifest(
-            run_dir,
-            cfg,
-            seed,
-            time.perf_counter() - start,
-            ["ema_decay.csv"],
-            final={"alphas": list(cfg.ema_alphas)},
-        )
+        return ["ema_decay.csv"], {"final": {"alphas": list(cfg.ema_alphas)}}
 
     _per_seed(cfg, work)
 

@@ -4,42 +4,59 @@ validated before any computation runs."""
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 TASKS = ("toy", "train", "qc", "fold", "ablate", "eval", "report")
 
-_DATASET_KEYS = {
-    "kind",
-    "seed",
-    "n",
-    "dim",
-    "classes",
-    "mode",
-    "noise",
-    "separation",
-    "teacher",
-    "eval_fraction",
-    "calib_fraction",
-    "path",
-    "labels_path",
-    "target",
-    "task",
+# Section defaults.  A section given in a file or by override is merged over
+# its defaults, so a partial section keeps the documented values for the rest.
+_SECTION_DEFAULTS = {
+    "dataset": {"kind": "blobs", "seed": 0, "n": 1000, "dim": 4, "classes": 3},
+    "ema": {"enabled": True, "alpha": 0.999, "warmup_frac": 0.01},
+    "qc": {
+        "granularity": "per_channel",
+        "use_scale": True,
+        "use_shift": True,
+        "lr": 1e-4,
+        "batch": 32,
+        "source": "ema",
+    },
+    "toy": {},
 }
-_EMA_KEYS = {"enabled", "alpha", "warmup_frac"}
-_QC_KEYS = {"granularity", "use_scale", "use_shift", "lr", "batch", "source"}
-_TOY_KEYS = {
-    "w_star",
-    "bits_w",
-    "bits_x",
-    "batch_size",
-    "steps",
-    "lr",
-    "s_w0",
-    "s_x0",
-    "x_lo",
-    "x_hi",
-    "ema_alpha",
-    "ema_warmup_frac",
+_SECTION_KEYS = {
+    "dataset": {
+        "kind",
+        "seed",
+        "n",
+        "dim",
+        "classes",
+        "noise",
+        "separation",
+        "teacher",
+        "eval_fraction",
+        "calib_fraction",
+        "path",
+        "labels_path",
+        "target",
+        "task",
+    },
+    "ema": set(_SECTION_DEFAULTS["ema"]),
+    "qc": set(_SECTION_DEFAULTS["qc"]),
+    "toy": {
+        "w_star",
+        "bits_w",
+        "bits_x",
+        "batch_size",
+        "steps",
+        "lr",
+        "s_w0",
+        "s_x0",
+        "x_lo",
+        "x_hi",
+        "ema_alpha",
+        "ema_warmup_frac",
+    },
 }
 
 
@@ -48,28 +65,15 @@ class ExperimentConfig:
     task: str = "train"
     out_dir: str = ""  # empty falls back to $QATLAB_OUT, then ./runs
     seeds: list = field(default_factory=lambda: [0])
-    dataset: dict = field(
-        default_factory=lambda: {"kind": "blobs", "seed": 0, "n": 1000, "dim": 4, "classes": 3}
-    )
+    dataset: dict = field(default_factory=dict)  # sections merge over _SECTION_DEFAULTS
     network: str = "mlp"
     bits_w: int = 4
     bits_a: int = 4
     first_last_bits: int = 8
     granularity: str = "per_tensor"
-    ema: dict = field(
-        default_factory=lambda: {"enabled": True, "alpha": 0.999, "warmup_frac": 0.01}
-    )
+    ema: dict = field(default_factory=dict)
     dampening_lambda: float = 0.0
-    qc: dict = field(
-        default_factory=lambda: {
-            "granularity": "per_channel",
-            "use_scale": True,
-            "use_shift": True,
-            "lr": 1e-4,
-            "batch": 32,
-            "source": "ema",
-        }
-    )
+    qc: dict = field(default_factory=dict)
     epochs: int = 10
     pretrain_epochs: int = 10
     batch: int = 32
@@ -83,26 +87,37 @@ class ExperimentConfig:
     runs: list = field(default_factory=list)
 
     def __post_init__(self):
+        for section, defaults in _SECTION_DEFAULTS.items():
+            value = getattr(self, section)
+            if isinstance(value, dict):
+                setattr(self, section, {**defaults, **value})
+            _check_keys(section, getattr(self, section), _SECTION_KEYS[section])
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.network not in ("mlp", "cnn"):
             raise ValueError(f"network must be mlp or cnn, got {self.network!r}")
-        if not self.seeds or not all(isinstance(s, int) for s in self.seeds):
+        if (
+            not isinstance(self.seeds, list)
+            or not self.seeds
+            or not all(_is_int(s) for s in self.seeds)
+        ):
             raise ValueError("seeds must be a non-empty list of integers")
         for name in ("bits_w", "bits_a", "first_last_bits"):
             b = getattr(self, name)
-            if not isinstance(b, int) or not 1 <= b <= 16:
+            if not _is_int(b) or not 1 <= b <= 16:
                 raise ValueError(f"{name} must be an integer in [1, 16]")
+        for name, lo in (("epochs", 0), ("pretrain_epochs", 0), ("batch", 1)):
+            n = getattr(self, name)
+            if not _is_int(n) or n < lo:
+                raise ValueError(f"{name} must be an integer >= {lo}")
         if self.granularity not in ("per_tensor", "per_channel"):
             raise ValueError(f"bad granularity {self.granularity!r}")
-        if self.epochs < 0 or self.pretrain_epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.dampening_lambda < 0:
-            raise ValueError("dampening_lambda must be >= 0")
+        if not _is_number(self.lr) or self.lr <= 0:
+            raise ValueError("lr must be a positive number")
+        if not _is_number(self.dampening_lambda) or self.dampening_lambda < 0:
+            raise ValueError("dampening_lambda must be a number >= 0")
+        if not _is_number(self.soft_round_k):
+            raise ValueError("soft_round_k must be a number")
         if self.eval_mode not in ("quantized", "latent", "soft_round", "ema_quantized"):
             raise ValueError(f"bad eval_mode {self.eval_mode!r}")
         if self.ablate_kind not in ("qc", "ema_decay"):
@@ -114,27 +129,32 @@ class ExperimentConfig:
         ):
             raise ValueError("ema_alphas must be a non-empty list of numbers in [0, 1)")
 
-        _check_keys("dataset", self.dataset, _DATASET_KEYS)
-        _check_keys("ema", self.ema, _EMA_KEYS)
-        _check_keys("qc", self.qc, _QC_KEYS)
-        _check_keys("toy", self.toy, _TOY_KEYS)
-        kind = self.dataset.get("kind")
+        kind = self.dataset["kind"]
         if kind not in ("blobs", "spirals", "regression", "idx", "csv"):
             raise ValueError(f"dataset.kind must be a known generator, got {kind!r}")
-        if not _is_decay(self.ema.get("alpha", 0.999)):
+        if not _is_decay(self.ema["alpha"]):
             raise ValueError("ema.alpha must be a number in [0, 1)")
-        if self.qc.get("source", "ema") not in ("ema", "live"):
+        if self.qc["source"] not in ("ema", "live"):
             raise ValueError("qc.source must be 'ema' or 'live'")
-        if self.qc.get("granularity", "per_channel") not in ("per_tensor", "per_channel"):
+        if self.qc["granularity"] not in ("per_tensor", "per_channel"):
             raise ValueError("qc.granularity must be per_tensor or per_channel")
 
 
-def _is_decay(value) -> bool:
+def _is_int(value) -> bool:
+    """An int that is not a bool (``isinstance(True, int)`` holds)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and 0.0 <= value < 1.0
+        and math.isfinite(value)
     )
+
+
+def _is_decay(value) -> bool:
+    return _is_number(value) and 0.0 <= value < 1.0
 
 
 def _check_keys(section, d, allowed):
@@ -152,21 +172,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - _FIELDS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    base = ExperimentConfig()
-    merged = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name in data:
-            value = data[f.name]
-            # Section dicts merge over their defaults so partial overrides
-            # keep the documented values for the rest.
-            if isinstance(getattr(base, f.name), dict) and isinstance(value, dict):
-                whole = dict(getattr(base, f.name))
-                whole.update(value)
-                value = whole
-            merged[f.name] = value
-        else:
-            merged[f.name] = getattr(base, f.name)
-    return ExperimentConfig(**merged)
+    return ExperimentConfig(**data)
 
 
 def load_config(path) -> dict:

@@ -2,13 +2,11 @@
 
 Layers are dense, conv2d, or depthwise conv2d, each optionally wrapped with
 an input activation quantizer, a weight quantizer, batch norm after the
-linear op, and a nonlinearity.  The forward pass runs in one of four modes:
+linear op, and a nonlinearity.  The forward pass runs in one of three modes:
 
-  latent         full precision, all quantizers bypassed
-  quantized      h = q(W) . q(a) + b, the training-time simulated path
-  soft_round     Eq.-style diagnostic rounding with threshold k
-  ema_quantized  same math as quantized; pass a net whose parameters were
-                 materialized from EMA shadows
+  latent      full precision, all quantizers bypassed
+  quantized   h = q(W) . q(a) + b, the training-time simulated path
+  soft_round  Eq.-style diagnostic rounding with threshold k
 
 The backward pass mirrors the forward exactly, invoking the straight-through
 quantizer backward at every quantizer.  Convolutions use im2col with
@@ -32,7 +30,7 @@ DENSE = "dense"
 CONV2D = "conv2d"
 DEPTHWISE = "depthwise_conv2d"
 
-FORWARD_MODES = ("latent", "quantized", "soft_round", "ema_quantized")
+FORWARD_MODES = ("latent", "quantized", "soft_round")
 
 
 @dataclass
@@ -329,16 +327,13 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
             cache: bool = False, update_running: bool = False):
     """Run the network; returns output, or (output, cache) with cache=True.
 
-    update_running refreshes BN running statistics (training only).  The
-    ema_quantized mode is numerically the quantized mode; pass a network
-    whose parameters came from materialized shadows.
+    update_running refreshes BN running statistics (training only).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise ValueError(f"input shape {x.shape[1:]} != expected {net.input_shape}")
     if mode not in FORWARD_MODES:
         raise ValueError(f"unknown forward mode {mode!r}")
-    eff_mode = "quantized" if mode == "ema_quantized" else mode
     a = x
     caches = []
     for layer in net.layers:
@@ -346,8 +341,8 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
         if layer.kind == DENSE and a.ndim > 2:
             a = a.reshape(a.shape[0], -1)
         a_in = a
-        a_used = _effective_input(layer, a_in, eff_mode, k)
-        w_used = _effective_weight(layer, eff_mode, k)
+        a_used = _effective_input(layer, a_in, mode, k)
+        w_used = _effective_weight(layer, mode, k)
         h, cols = _linear(layer, a_used, w_used)
         h_lin = h
         if layer.qc_gamma is not None:
@@ -374,7 +369,7 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
             )
         a = out
     if cache:
-        return a, {"mode": eff_mode, "layers": caches, "batch": x.shape[0]}
+        return a, {"mode": mode, "layers": caches, "batch": x.shape[0]}
     return a
 
 

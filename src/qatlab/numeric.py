@@ -1,10 +1,4 @@
-"""Deterministic dense-tensor arithmetic, seeded RNG, and gradient oracles.
-
-Tensors are plain numpy arrays.  Storage dtype is float64 by default and may
-be float32; matrix products always accumulate in float64 regardless of the
-storage dtype, so downstream equivalence tolerances do not depend on
-summation noise.
-"""
+"""Seeded RNG and the finite-difference gradient oracle."""
 
 from __future__ import annotations
 
@@ -13,37 +7,10 @@ import hashlib
 import numpy as np
 
 __all__ = [
-    "tensor",
-    "matmul",
     "finite_diff",
     "Rng",
-    "uniform",
     "derive_seed",
 ]
-
-
-def tensor(data, dtype=np.float64) -> np.ndarray:
-    """Build a tensor from external input, rejecting NaN/Inf values."""
-    arr = np.asarray(data, dtype=dtype)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor construction rejects non-finite values")
-    return arr
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of 2-D arrays with float64 accumulation.
-
-    The result is cast back to the promoted storage dtype of the inputs.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
-    result_dtype = np.promote_types(a.dtype, b.dtype)
-    return out.astype(result_dtype, copy=False)
 
 
 def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -103,8 +70,3 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-
-def uniform(rng: Rng, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """i.i.d. samples in [lo, hi); stream reproducible from the seed."""
-    return rng.uniform(shape, lo, hi)

@@ -81,7 +81,6 @@ class OscillationTracker:
             raise ValueError("window must be >= 2")
         self.window = window
         self.flip_counts = None
-        self.scale_traces: dict = {}
         self._last = None
         self._buf: deque = deque()
 
@@ -90,7 +89,7 @@ class OscillationTracker:
         return 0 if self._last is None else len(self._buf) + 1
 
 
-def record_step(t: OscillationTracker, codes, scales=None) -> OscillationTracker:
+def record_step(t: OscillationTracker, codes) -> OscillationTracker:
     codes = np.asarray(codes)
     if t._last is None:
         t.flip_counts = np.zeros(codes.shape, dtype=np.int64)
@@ -106,9 +105,6 @@ def record_step(t: OscillationTracker, codes, scales=None) -> OscillationTracker
         t.flip_counts += changed
         t._buf.append(changed)
     t._last = codes.copy()
-    if scales:
-        for name, value in scales.items():
-            t.scale_traces.setdefault(name, []).append(float(value))
     return t
 
 
@@ -190,7 +186,7 @@ def run_toy(p: ToyProblem, use_ema: bool = False, rng: Rng = None):
             raise RuntimeError(f"toy run diverged at step {step}: loss={loss}")
 
         codes = integer_code(w, q_w)
-        record_step(tracker, codes, {"s_w": q_w.s, "s_x": q_x.s})
+        record_step(tracker, codes)
         rows["w"].append(w.copy())
         rows["q_w"].append(quantize(w, q_w))
         rows["s_w"].append(float(q_w.s))

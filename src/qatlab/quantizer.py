@@ -62,7 +62,6 @@ class QuantizerState:
     signed: bool = True
     granularity: str = PER_TENSOR
     axis: int | None = None
-    degenerate: bool = False
     u: int = field(init=False)
     v: int = field(init=False)
 
@@ -102,7 +101,6 @@ class QuantizerState:
             signed=self.signed,
             granularity=self.granularity,
             axis=self.axis,
-            degenerate=self.degenerate,
         )
 
 
@@ -207,8 +205,7 @@ def init_scale(
 
     Weights use max|w| / v; activations use the 99.9th percentile of |w| over
     one calibration batch divided by v.  The 1-bit signed grid has v = 0, so
-    |u| stands in for v there.  All-zero input degenerates to the scale floor
-    and sets the ``degenerate`` flag.
+    |u| stands in for v there.  All-zero input degenerates to the scale floor.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.size == 0:
@@ -223,7 +220,6 @@ def init_scale(
         else:
             raw = abs_w.max() / denom
         s0 = np.asarray(max(float(raw), SCALE_FLOOR))
-        degenerate = bool(raw < SCALE_FLOOR)
     elif granularity == PER_CHANNEL:
         if axis is None:
             raise ValueError("per-channel init_scale needs a channel axis")
@@ -233,10 +229,7 @@ def init_scale(
         else:
             raw = abs_w.max(axis=reduce_axes) / denom
         s0 = np.maximum(raw, SCALE_FLOOR)
-        degenerate = bool(np.any(raw < SCALE_FLOOR))
     else:
         raise ValueError(f"unknown granularity {granularity!r}")
 
-    return QuantizerState(
-        s=s0, bits=bits, signed=signed, granularity=granularity, axis=axis, degenerate=degenerate
-    )
+    return QuantizerState(s=s0, bits=bits, signed=signed, granularity=granularity, axis=axis)

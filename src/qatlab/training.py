@@ -159,12 +159,6 @@ def _weight_codes(net, qlayers):
     )
 
 
-def _scale_summary(net, qlayers):
-    return {
-        f"layer{i}.w_scale": float(np.mean(net.layers[i].w_quant.s)) for i in qlayers
-    }
-
-
 def train_latent(net, dataset, epochs: int, batch: int = 32, lr: float = 1e-3, seed: int = 0):
     """Plain full-precision pretraining, in place.  Returns the net."""
     rng = Rng(seed).child("pretrain")
@@ -237,7 +231,7 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
             for ema in emas.values():
                 ema_update(ema, net.parameters())
             if qlayers:
-                record_step(tracker, _weight_codes(net, qlayers), _scale_summary(net, qlayers))
+                record_step(tracker, _weight_codes(net, qlayers))
 
         row = {
             "epoch": epoch,

@@ -142,6 +142,22 @@ class TestNetworkRoundTrip:
         # BN mode was frozen to eval by the fitting step and must persist.
         assert all(l.bn.mode == "eval" for l in net2.layers if l.bn is not None)
 
+    def test_header_with_degenerate_flag_loads(self, tmp_path):
+        """Checkpoints written before the quantizer dropped its unused
+        ``degenerate`` flag still carry it in the header."""
+        d, qnet, _ = trained_state()
+        ckpt = network_to_checkpoint(qnet)
+        for meta in ckpt.topology["layers"]:
+            for q in ("w_quant", "a_quant"):
+                meta[q]["degenerate"] = True
+        p = tmp_path / "old.qat"
+        save_checkpoint(p, ckpt)
+        net2, _ = checkpoint_to_network(load_checkpoint(p))
+        x = d.eval_x[:8]
+        np.testing.assert_array_equal(
+            forward(net2, x, "quantized"), forward(qnet, x, "quantized")
+        )
+
     def test_double_save_byte_identical(self, tmp_path):
         _, qnet, ema = trained_state()
         p1, p2 = tmp_path / "a.qat", tmp_path / "b.qat"

@@ -251,6 +251,49 @@ class TestAblate:
             assert [r[0] for r in rows] == ["0.9", "0.99", "0.999"]
 
 
+    def test_ema_decay_honours_dampening(self, tmp_path):
+        """With dampening on, the ablation's live columns equal those of
+        train with the same settings, and differ from an undamped run."""
+        sets = ["--set", "seeds=[0]", "--set", "epochs=2", "--set", "pretrain_epochs=1",
+                "--set", "dataset.n=200"]
+        damped = sets + ["--set", "dampening_lambda=0.5"]
+        ablate = ["--set", "ablate_kind=ema_decay", "--set", "ema_alphas=[0.9,0.99]"]
+        assert main(["train", "--out", str(tmp_path / "t")] + damped) == 0
+        assert main(["ablate", "--out", str(tmp_path / "a")] + damped + ablate) == 0
+        assert main(["ablate", "--out", str(tmp_path / "p")] + sets + ablate) == 0
+        _, train_rows = read_csv(tmp_path / "t" / "train-seed0" / "metrics.csv")
+        _, rows = read_csv(tmp_path / "a" / "ablate-seed0" / "ema_decay.csv")
+        _, plain = read_csv(tmp_path / "p" / "ablate-seed0" / "ema_decay.csv")
+        # columns: train_loss, eval_loss, eval_accuracy
+        assert all(r[1:4] == train_rows[-1][1:4] for r in rows)
+        assert rows[0][1] != plain[0][1]
+
+
+def test_manifest_lists_the_files_each_task_wrote(train_run, qc_run, tmp_path):
+    """Every task's ok manifest names exactly the files in its run directory."""
+    train_ckpt = str(train_run / "train-seed0" / "checkpoint.qat")
+    qc_ckpt = str(qc_run / "qc-seed0" / "qc_checkpoint.qat")
+    calls = {
+        "toy": ["toy", "--set", "toy.steps=30"],
+        "fold": ["fold", "--set", f"checkpoint={qc_ckpt}"],
+        "eval": ["eval", "--set", f"checkpoint={train_ckpt}"],
+        "ablate_qc": ["ablate", "--set", f"checkpoint={train_ckpt}"],
+        "ablate_ema": ["ablate", "--set", "ablate_kind=ema_decay", "--set", "epochs=1",
+                       "--set", "pretrain_epochs=0", "--set", "dataset.n=200"],
+        "report": ["report", str(train_run / "train-seed0")],
+    }
+    run_dirs = [train_run / "train-seed0", qc_run / "qc-seed0"]
+    for name, (task, *rest) in calls.items():
+        assert main([task, "--out", str(tmp_path / name)] + rest) == 0
+        run_dirs += list((tmp_path / name).iterdir())
+    assert len(run_dirs) == 2 + len(calls)
+    for run_dir in run_dirs:
+        m = read_manifest(run_dir)
+        written = sorted(p.name for p in run_dir.iterdir() if p.name != "manifest.json")
+        assert m["status"] == "ok"
+        assert m["artifacts"] == written, run_dir.name
+
+
 class TestReport:
     def test_aggregates_mean_and_spread(self, tmp_path):
         for seed in (0, 1):
@@ -320,6 +363,16 @@ class TestErrors:
         out = tmp_path / "out"
         assert main(["ablate", "--out", str(out), "--set", "ablate_kind=ema_decay",
                      "--set", override]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        ["batch=[1]", 'lr="fast"', 'dampening_lambda="x"', "seeds=[true]", "bits_w=true",
+         "dataset.mode=blobs"],
+    )
+    def test_bad_config_types(self, tmp_path, override):
+        out = tmp_path / "out"
+        assert main(["train", "--out", str(out), "--set", override]) == 2
         assert not out.exists()
 
     def test_cnn_needs_16_features(self, tmp_path):

@@ -37,6 +37,17 @@ class TestValidation:
             {"dampening_lambda": -0.5},
             {"eval_mode": "int8"},
             {"ablate_kind": "dropout"},
+            {"batch": [1]},
+            {"lr": "fast"},
+            {"dampening_lambda": "x"},
+            {"seeds": [True]},
+            {"bits_w": True},
+            {"epochs": 1.5},
+            {"pretrain_epochs": "2"},
+            {"soft_round_k": "x"},
+            {"seeds": 3},
+            {"lr": float("nan")},
+            {"dataset": {"kind": "blobs", "mode": "blobs"}},
         ],
     )
     def test_bad_field(self, kwargs):
@@ -50,6 +61,14 @@ class TestValidation:
             ExperimentConfig(dataset={"kind": "blobs", "samples": 10})
         with pytest.raises(ValueError, match="unknown toy keys"):
             ExperimentConfig(toy={"step": 1})
+
+    def test_sections_are_complete(self):
+        """A directly built config also merges partial sections over the
+        defaults, so the sections always hold every documented key."""
+        cfg = ExperimentConfig(ema={"alpha": 0.9}, qc={"lr": 0.01})
+        assert cfg.ema == {"enabled": True, "alpha": 0.9, "warmup_frac": 0.01}
+        assert cfg.qc["lr"] == 0.01 and cfg.qc["source"] == "ema"
+        assert cfg.dataset["kind"] == "blobs"
 
     def test_section_must_be_object(self):
         with pytest.raises(ValueError, match="qc must be an object"):

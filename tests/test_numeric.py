@@ -1,81 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from qatlab.numeric import Rng, finite_diff, matmul, tensor, uniform
-
-
-def matmul_oracle(a, b):
-    # Element-by-element triple loop, the independent reference.
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-class TestTensor:
-    def test_accepts_finite(self):
-        t = tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert t.shape == (2, 2)
-        assert t.dtype == np.float64
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError):
-            tensor([1.0, bad])
-
-    def test_float32_storage(self):
-        t = tensor([1.0, 2.0], dtype=np.float32)
-        assert t.dtype == np.float32
-
-
-class TestMatmul:
-    def test_identity(self):
-        out = matmul(np.eye(2), np.array([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out, [[3.0], [4.0]])
-
-    def test_small_product(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out, [[11.0]])
-
-    def test_random_against_triple_loop(self):
-        rng = Rng(7)
-        a = rng.uniform((5, 7), -1.0, 1.0)
-        b = rng.uniform((7, 3), -1.0, 1.0)
-        np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-12, rtol=0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_float32_storage_accumulates_in_float64(self):
-        # Sequential float32 accumulation would cancel the 1.0 entirely.
-        a = np.array([[1e8, 1.0, -1e8]], dtype=np.float32)
-        b = np.ones((3, 1), dtype=np.float32)
-        out = matmul(a, b)
-        assert out.dtype == np.float32
-        assert out[0, 0] == 1.0
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.integers(1, 6),
-        k=st.integers(1, 6),
-        m=st.integers(1, 6),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_property_matches_oracle(self, n, k, m, seed):
-        rng = Rng(seed)
-        a = rng.uniform((n, k), -2.0, 2.0)
-        b = rng.uniform((k, m), -2.0, 2.0)
-        np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-12, rtol=0)
+from qatlab.numeric import Rng, finite_diff
 
 
 class TestFiniteDiff:
@@ -102,16 +28,16 @@ class TestFiniteDiff:
 
 class TestRng:
     def test_deterministic_stream(self):
-        a = uniform(Rng(0), (4,), 0.0, 1.0)
-        b = uniform(Rng(0), (4,), 0.0, 1.0)
+        a = Rng(0).uniform((4,), 0.0, 1.0)
+        b = Rng(0).uniform((4,), 0.0, 1.0)
         np.testing.assert_array_equal(a, b)
 
     def test_degenerate_range(self):
         with pytest.raises(ValueError):
-            uniform(Rng(0), (4,), 0.5, 0.5)
+            Rng(0).uniform((4,), 0.5, 0.5)
 
     def test_large_sample_mean(self):
-        x = uniform(Rng(123), (100_000,), 0.0, 1.0)
+        x = Rng(123).uniform((100_000,), 0.0, 1.0)
         assert abs(x.mean() - 0.5) < 0.01
         assert x.min() >= 0.0 and x.max() < 1.0
 

@@ -131,12 +131,6 @@ class TestTracker:
         with pytest.raises(RuntimeError):
             flip_frequency(t)
 
-    def test_scale_traces_appended(self):
-        t = OscillationTracker(window=5)
-        for i in range(3):
-            record_step(t, np.array([0]), {"s_w": 0.1 * (i + 1)})
-        assert t.scale_traces["s_w"] == pytest.approx([0.1, 0.2, 0.3])
-
     def test_window_validation(self):
         with pytest.raises(ValueError):
             OscillationTracker(window=1)
