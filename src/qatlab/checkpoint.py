@@ -20,6 +20,7 @@ MAGIC = b"QATLAB01"
 FORMAT_VERSION = 1
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
+_ENTRY_KEYS = ("name", "dtype", "shape", "offset", "nbytes", "sha256")
 
 
 @dataclass
@@ -92,6 +93,8 @@ def load_checkpoint(path) -> Checkpoint:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: corrupt header: {exc}") from None
     pos += head_len
+    if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
+        raise ValueError(f"{path}: header has no 'tensors' list")
     version = header.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(
@@ -100,6 +103,9 @@ def load_checkpoint(path) -> Checkpoint:
     body = buf[pos:]
     tensors = {}
     for entry in header["tensors"]:
+        missing = [k for k in _ENTRY_KEYS if not isinstance(entry, dict) or k not in entry]
+        if missing:
+            raise ValueError(f"{path}: tensor entry {entry!r} has no {missing}")
         name = entry["name"]
         start, nbytes = entry["offset"], entry["nbytes"]
         raw = body[start : start + nbytes]
@@ -172,9 +178,17 @@ def network_to_checkpoint(net: NetworkSpec, config=None, ema: EMAState = None) -
 
 def checkpoint_to_network(ckpt: Checkpoint):
     """Rebuild ``(net, ema_state)`` from a checkpoint.  ``ema_state`` is
-    None when the checkpoint carries no shadows."""
-    topo = ckpt.topology
-    t = ckpt.tensors
+    None when the checkpoint carries no shadows.  A topology key or tensor
+    that the checkpoint lacks, or a malformed topology, raises ValueError."""
+    try:
+        return _rebuild(ckpt.topology, ckpt.tensors)
+    except KeyError as exc:
+        raise ValueError(f"checkpoint has no topology key or tensor {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed checkpoint topology: {exc}") from None
+
+
+def _rebuild(topo, t):
     layers = []
     for i, meta in enumerate(topo["layers"]):
         p = f"layer{i}"

@@ -3,6 +3,7 @@ run directories (metrics CSV, checkpoints, manifest)."""
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -24,27 +25,13 @@ from .config import (
     config_to_dict,
     resolve_config,
 )
-from .datasets import (
-    Dataset,
-    gen_classification,
-    gen_regression,
-    load_csv,
-    load_idx,
-    make_calibration,
-)
+from .datasets import Dataset, gen_classification, gen_regression, load_csv, load_idx
 from .ema import materialize_ema
 from .network import build_cnn, build_mlp, forward
 from .numeric import Rng
-from .oscillation import ToyProblem, flip_frequency, run_toy
-from .qc import QCConfig, absorb_corrections, fit_qc, fold_network, qc_ablation
-from .training import (
-    TrainConfig,
-    attach_quantizers,
-    evaluate,
-    shape_inputs,
-    train_latent,
-    train_qat,
-)
+from .oscillation import flip_frequency, run_toy
+from .qc import absorb_corrections, fit_qc, fold_network, qc_ablation
+from .training import attach_quantizers, evaluate, shape_inputs, train_latent, train_qat
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,49 +103,25 @@ def write_manifest(run_dir, cfg, seed, wall, artifacts, status="ok", error=None,
     return manifest
 
 
+def _accepted(fn, spec: dict) -> dict:
+    """The entries of ``spec`` that ``fn`` takes as keyword arguments."""
+    params = inspect.signature(fn).parameters
+    return {k: v for k, v in spec.items() if k in params}
+
+
 def build_dataset(spec: dict) -> Dataset:
+    """Build a ``dataset`` section's data.  Each generator or loader gets the
+    spec keys it takes, and its signature supplies the rest."""
     kind = spec["kind"]
-    seed = spec.get("seed", 0)
-    frac = {
-        "eval_fraction": spec.get("eval_fraction", 0.2),
-        "calib_fraction": spec.get("calib_fraction", 0.1),
-    }
     if kind in ("blobs", "spirals"):
-        return gen_classification(
-            seed=seed,
-            n=spec.get("n", 1000),
-            classes=spec.get("classes", 3),
-            mode=kind,
-            dim=spec.get("dim", 2),
-            noise=spec.get("noise", 1.0),
-            separation=spec.get("separation", 6.0),
-            **frac,
-        )
+        return gen_classification(**_accepted(gen_classification, {**spec, "mode": kind}))
     if kind == "regression":
-        return gen_regression(
-            seed=seed,
-            n=spec.get("n", 1000),
-            dim=spec.get("dim", 8),
-            teacher=tuple(spec.get("teacher", (16,))),
-            noise=spec.get("noise", 0.05),
-            **frac,
-        )
+        return gen_regression(**_accepted(gen_regression, spec))
     if kind == "idx":
-        d = load_idx(
-            spec["path"],
-            spec.get("labels_path"),
-            eval_fraction=frac["eval_fraction"],
-            seed=seed,
-        )
-        return make_calibration(d, frac["calib_fraction"], seed)
+        return load_idx(spec["path"], **_accepted(load_idx, spec))
     if kind == "csv":
-        d = load_csv(
-            spec["path"],
-            {"target": spec.get("target", "target"), "task": spec.get("task", "regression")},
-            eval_fraction=frac["eval_fraction"],
-            seed=seed,
-        )
-        return make_calibration(d, frac["calib_fraction"], seed)
+        schema = {k: spec[k] for k in ("target", "task") if k in spec}
+        return load_csv(schema=schema, **_accepted(load_csv, spec))
     raise ValueError(f"unknown dataset kind {kind!r}")
 
 
@@ -240,17 +203,7 @@ def _qat_run(cfg: ExperimentConfig, dataset, seed, ema_alphas=None):
         first_last_bits=cfg.first_last_bits,
         granularity=cfg.granularity,
     )
-    tcfg = TrainConfig(
-        epochs=cfg.epochs,
-        batch=cfg.batch,
-        lr=cfg.lr,
-        ema_enabled=cfg.ema["enabled"],
-        ema_alpha=cfg.ema["alpha"],
-        ema_warmup_frac=cfg.ema["warmup_frac"],
-        dampening_lambda=cfg.dampening_lambda,
-        seed=seed,
-    )
-    return train_qat(qnet, dataset, tcfg, ema_alphas=ema_alphas)
+    return train_qat(qnet, dataset, cfg.train_config(seed), ema_alphas=ema_alphas)
 
 
 def _open_checkpoint(cfg: ExperimentConfig):
@@ -260,8 +213,12 @@ def _open_checkpoint(cfg: ExperimentConfig):
     into checkpoints written downstream."""
     if not cfg.checkpoint:
         raise ValueError(f"the {cfg.task} task needs a checkpoint path")
-    ckpt = load_checkpoint(cfg.checkpoint)
-    net, ema = checkpoint_to_network(ckpt)
+    try:
+        ckpt = load_checkpoint(cfg.checkpoint)
+        net, ema = checkpoint_to_network(ckpt)
+    except ValueError as exc:
+        # The file exists, so this is a bad file, not a bad configuration.
+        raise RuntimeError(f"unusable checkpoint: {exc}") from None
     spec = ckpt.config.get("experiment", {}).get("dataset") or cfg.dataset
     return ckpt, net, ema, spec, build_dataset(spec)
 
@@ -281,7 +238,7 @@ def _snapshot(cfg: ExperimentConfig, seed, dataset_spec) -> dict:
 
 
 def task_toy(cfg: ExperimentConfig):
-    problem = ToyProblem(**cfg.toy)
+    problem = cfg.toy_problem()
 
     def work(seed, run_dir):
         trace, tracker = run_toy(problem, use_ema=True, rng=Rng(seed))
@@ -339,7 +296,7 @@ def task_qc(cfg: ExperimentConfig):
     source = cfg.qc["source"]
     if source == "ema":
         net = _shadow_net(net, ema)
-    qcfg = QCConfig(**{k: v for k, v in cfg.qc.items() if k != "source"})
+    qcfg = cfg.qc_config()
 
     def work(seed, run_dir):
         calib_before = evaluate(net, dataset.calib_x, dataset.calib_y)
@@ -398,6 +355,8 @@ def task_fold(cfg: ExperimentConfig):
             row["eval_accuracy_before"] = before["accuracy"]
             row["eval_accuracy_after"] = after["accuracy"]
         write_csv(run_dir / "fold_report.csv", list(row), [row])
+        if diff > 1e-6:
+            raise RuntimeError(f"folding changed the outputs by {diff!r} (> 1e-6)")
         save_checkpoint(
             run_dir / "folded_checkpoint.qat",
             network_to_checkpoint(folded, _snapshot(cfg, seed, dataset_spec)),
@@ -477,6 +436,7 @@ def task_ablate(cfg: ExperimentConfig):
 
 
 def task_report(cfg: ExperimentConfig):
+    start = time.perf_counter()
     groups = {}
     for run in cfg.runs:
         manifest_path = Path(run) / "manifest.json"
@@ -516,7 +476,6 @@ def task_report(cfg: ExperimentConfig):
             }
         )
     run_dir = run_dir_for(cfg, None)
-    start = time.perf_counter()
     write_csv(run_dir / "report.csv", header, rows)
     write_manifest(
         run_dir,

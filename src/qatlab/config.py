@@ -3,26 +3,30 @@ validated before any computation runs."""
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Literal, get_args, get_origin
 
-TASKS = ("toy", "train", "qc", "fold", "ablate", "eval", "report")
+from .datasets import gen_classification, gen_regression
+from .oscillation import ToyProblem
+from .qc import QCConfig
+from .training import TrainConfig
 
-# Section defaults.  A section given in a file or by override is merged over
-# its defaults, so a partial section keeps the documented values for the rest.
-_SECTION_DEFAULTS = {
-    "dataset": {"kind": "blobs", "seed": 0, "n": 1000, "dim": 4, "classes": 3},
-    "ema": {"enabled": True, "alpha": 0.999, "warmup_frac": 0.01},
-    "qc": {
-        "granularity": "per_channel",
-        "use_scale": True,
-        "use_shift": True,
-        "lr": 1e-4,
-        "batch": 32,
-        "source": "ema",
+# The ema, qc and toy sections are the fields of the dataclass built from each
+# (plus qc.source); dataset values are typed by the generator signatures.
+_EMA = {f.name[4:]: f for f in dataclasses.fields(TrainConfig) if f.name.startswith("ema_")}
+_QC = {f.name: f for f in dataclasses.fields(QCConfig)}
+_SECTION_TYPES = {
+    "dataset": {
+        name: p.annotation
+        for fn in (gen_classification, gen_regression)
+        for name, p in inspect.signature(fn).parameters.items()
     },
-    "toy": {},
+    "ema": {k: f.type for k, f in _EMA.items()},
+    "qc": {**{k: f.type for k, f in _QC.items()}, "source": Literal["ema", "live"]},
+    "toy": {f.name: f.type for f in dataclasses.fields(ToyProblem)},
 }
 _SECTION_KEYS = {
     "dataset": {
@@ -41,36 +45,29 @@ _SECTION_KEYS = {
         "target",
         "task",
     },
-    "ema": set(_SECTION_DEFAULTS["ema"]),
-    "qc": set(_SECTION_DEFAULTS["qc"]),
-    "toy": {
-        "w_star",
-        "bits_w",
-        "bits_x",
-        "batch_size",
-        "steps",
-        "lr",
-        "s_w0",
-        "s_x0",
-        "x_lo",
-        "x_hi",
-        "ema_alpha",
-        "ema_warmup_frac",
-    },
+    **{section: set(_SECTION_TYPES[section]) for section in ("ema", "qc", "toy")},
+}
+# A section given in a file or by override is merged over its defaults, so a
+# partial section keeps the rest.  ToyProblem fills in what toy leaves out.
+_SECTION_DEFAULTS = {
+    "dataset": {"kind": "blobs", "seed": 0, "n": 1000, "dim": 4, "classes": 3},
+    "ema": {k: f.default for k, f in _EMA.items()},
+    "qc": {**{k: f.default for k, f in _QC.items()}, "source": "ema"},
+    "toy": {},
 }
 
 
 @dataclass
 class ExperimentConfig:
-    task: str = "train"
+    task: Literal["toy", "train", "qc", "fold", "ablate", "eval", "report"] = "train"
     out_dir: str = ""  # empty falls back to $QATLAB_OUT, then ./runs
     seeds: list = field(default_factory=lambda: [0])
     dataset: dict = field(default_factory=dict)  # sections merge over _SECTION_DEFAULTS
-    network: str = "mlp"
+    network: Literal["mlp", "cnn"] = "mlp"
     bits_w: int = 4
     bits_a: int = 4
     first_last_bits: int = 8
-    granularity: str = "per_tensor"
+    granularity: Literal["per_tensor", "per_channel"] = "per_tensor"
     ema: dict = field(default_factory=dict)
     dampening_lambda: float = 0.0
     qc: dict = field(default_factory=dict)
@@ -80,64 +77,60 @@ class ExperimentConfig:
     lr: float = 1e-3
     toy: dict = field(default_factory=dict)
     checkpoint: str = ""
-    eval_mode: str = "quantized"
+    eval_mode: Literal["quantized", "latent", "soft_round", "ema_quantized"] = "quantized"
     soft_round_k: float = 0.45
-    ablate_kind: str = "qc"
+    ablate_kind: Literal["qc", "ema_decay"] = "qc"
     ema_alphas: list = field(default_factory=lambda: [0.99, 0.999, 0.9999])
     runs: list = field(default_factory=list)
 
     def __post_init__(self):
+        _check_types("", vars(self), {f.name: f.type for f in dataclasses.fields(self)})
         for section, defaults in _SECTION_DEFAULTS.items():
-            value = getattr(self, section)
-            if isinstance(value, dict):
-                setattr(self, section, {**defaults, **value})
-            _check_keys(section, getattr(self, section), _SECTION_KEYS[section])
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.network not in ("mlp", "cnn"):
-            raise ValueError(f"network must be mlp or cnn, got {self.network!r}")
-        if (
-            not isinstance(self.seeds, list)
-            or not self.seeds
-            or not all(_is_int(s) for s in self.seeds)
-        ):
+            values = {**defaults, **getattr(self, section)}
+            setattr(self, section, values)
+            unknown = set(values) - _SECTION_KEYS[section]
+            if unknown:
+                raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+            _check_types(f"{section}.", values, _SECTION_TYPES[section])
+        if not self.seeds or not all(_is_int(s) for s in self.seeds):
             raise ValueError("seeds must be a non-empty list of integers")
         for name in ("bits_w", "bits_a", "first_last_bits"):
-            b = getattr(self, name)
-            if not _is_int(b) or not 1 <= b <= 16:
-                raise ValueError(f"{name} must be an integer in [1, 16]")
-        for name, lo in (("epochs", 0), ("pretrain_epochs", 0), ("batch", 1)):
-            n = getattr(self, name)
-            if not _is_int(n) or n < lo:
-                raise ValueError(f"{name} must be an integer >= {lo}")
-        if self.granularity not in ("per_tensor", "per_channel"):
-            raise ValueError(f"bad granularity {self.granularity!r}")
-        if not _is_number(self.lr) or self.lr <= 0:
-            raise ValueError("lr must be a positive number")
-        if not _is_number(self.dampening_lambda) or self.dampening_lambda < 0:
-            raise ValueError("dampening_lambda must be a number >= 0")
-        if not _is_number(self.soft_round_k):
-            raise ValueError("soft_round_k must be a number")
-        if self.eval_mode not in ("quantized", "latent", "soft_round", "ema_quantized"):
-            raise ValueError(f"bad eval_mode {self.eval_mode!r}")
-        if self.ablate_kind not in ("qc", "ema_decay"):
-            raise ValueError(f"bad ablate_kind {self.ablate_kind!r}")
-        if (
-            not isinstance(self.ema_alphas, list)
-            or not self.ema_alphas
-            or not all(_is_decay(a) for a in self.ema_alphas)
+            if not 1 <= getattr(self, name) <= 16:
+                raise ValueError(f"{name} must be in [1, 16]")
+        if self.pretrain_epochs < 0:
+            raise ValueError("pretrain_epochs must be >= 0")
+        if not self.ema_alphas or not all(
+            _is_number(a) and 0.0 <= a < 1.0 for a in self.ema_alphas
         ):
             raise ValueError("ema_alphas must be a non-empty list of numbers in [0, 1)")
 
         kind = self.dataset["kind"]
         if kind not in ("blobs", "spirals", "regression", "idx", "csv"):
             raise ValueError(f"dataset.kind must be a known generator, got {kind!r}")
-        if not _is_decay(self.ema["alpha"]):
-            raise ValueError("ema.alpha must be a number in [0, 1)")
-        if self.qc["source"] not in ("ema", "live"):
-            raise ValueError("qc.source must be 'ema' or 'live'")
-        if self.qc["granularity"] not in ("per_tensor", "per_channel"):
-            raise ValueError("qc.granularity must be per_tensor or per_channel")
+        if kind in ("idx", "csv") and not isinstance(self.dataset.get("path"), str):
+            raise ValueError(f"dataset.path must name the {kind} file")
+        # Building what the sections configure runs its range checks now,
+        # before any run directory exists.
+        _build("toy section", self.toy_problem)
+        _build("qc section", self.qc_config)
+        _build("training settings", self.train_config)
+
+    def toy_problem(self) -> ToyProblem:
+        return ToyProblem(**self.toy)
+
+    def qc_config(self) -> QCConfig:
+        return QCConfig(**{k: v for k, v in self.qc.items() if k != "source"})
+
+    def train_config(self, seed: int = 0) -> TrainConfig:
+        """QAT settings: the top-level training fields plus the ema section."""
+        return TrainConfig(
+            epochs=self.epochs,
+            batch=self.batch,
+            lr=self.lr,
+            dampening_lambda=self.dampening_lambda,
+            seed=seed,
+            **{f"ema_{k}": v for k, v in self.ema.items()},
+        )
 
 
 def _is_int(value) -> bool:
@@ -153,23 +146,43 @@ def _is_number(value) -> bool:
     )
 
 
-def _is_decay(value) -> bool:
-    return _is_number(value) and 0.0 <= value < 1.0
+# Annotated type -> (check, what the message calls it).  Values annotated
+# with any other type are left to the code that consumes them.
+_TYPE_CHECKS = {
+    int: (_is_int, "an integer"),
+    float: (_is_number, "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple[int, ...]: (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+        "a list of integers",
+    ),
+    list: (lambda v: isinstance(v, list), "a list"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+}
 
 
-def _check_keys(section, d, allowed):
-    if not isinstance(d, dict):
-        raise ValueError(f"{section} must be an object")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+def _check_types(where, values, types):
+    for key, value in values.items():
+        t = types.get(key)
+        if get_origin(t) is Literal:
+            ok, kind = value in get_args(t), f"one of {get_args(t)}"
+        else:
+            check, kind = _TYPE_CHECKS.get(t, (None, None))
+            ok = check is None or check(value)
+        if not ok:
+            raise ValueError(f"{where}{key} must be {kind}, got {value!r}")
 
 
-_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+def _build(what, make):
+    try:
+        make()
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad {what}: {exc}") from None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    unknown = set(data) - _FIELDS
+    unknown = set(data) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return ExperimentConfig(**data)

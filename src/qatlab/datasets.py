@@ -112,7 +112,7 @@ def gen_regression(
     seed: int,
     n: int = 1000,
     dim: int = 8,
-    teacher=(16,),
+    teacher: tuple[int, ...] = (16,),
     noise: float = 0.05,
     eval_fraction: float = 0.2,
     calib_fraction: float = 0.1,
@@ -223,6 +223,7 @@ def load_idx(
     labels_path=None,
     eval_fraction: float = 0.2,
     seed: int = 0,
+    calib_fraction: float = 0.1,
 ) -> Dataset:
     """Load big-endian IDX image (and optional label) files.  Pixels are
     scaled to [0, 1]; rows are flattened to (n, h*w)."""
@@ -243,7 +244,8 @@ def load_idx(
     else:
         y = np.zeros(n, dtype=np.int64)
     train, ev = _split(n, eval_fraction, Rng(seed).child("split"))
-    return Dataset(x, y, train, ev, train[:0], CLASSIFICATION, seed)
+    d = Dataset(x, y, train, ev, train[:0], CLASSIFICATION, seed)
+    return make_calibration(d, calib_fraction, seed)
 
 
 def load_csv(
@@ -251,16 +253,15 @@ def load_csv(
     schema: dict,
     eval_fraction: float = 0.2,
     seed: int = 0,
+    calib_fraction: float = 0.1,
 ) -> Dataset:
-    """Load a numeric CSV with a header row.  ``schema`` must give the
-    target column name and the task kind."""
+    """Load a numeric CSV with a header row.  ``schema`` may give the target
+    column name (default ``target``) and the task kind (default regression)."""
     allowed = {"target", "task"}
     if set(schema) - allowed:
         raise ValueError(f"unknown schema keys: {sorted(set(schema) - allowed)}")
-    target_col = schema.get("target")
+    target_col = schema.get("target", "target")
     task = schema.get("task", REGRESSION)
-    if not target_col:
-        raise ValueError("schema needs a 'target' column name")
     if task not in (REGRESSION, CLASSIFICATION):
         raise ValueError(f"unknown task {task!r}")
 
@@ -297,7 +298,8 @@ def load_csv(
     else:
         y = y[:, None]
     train, ev = _split(len(x), eval_fraction, Rng(seed).child("split"))
-    return Dataset(x, y, train, ev, train[:0], task, seed)
+    d = Dataset(x, y, train, ev, train[:0], task, seed)
+    return make_calibration(d, calib_fraction, seed)
 
 
 def batches(n: int, size: int, drop_last: bool, rng=None):

@@ -64,6 +64,8 @@ class ToyProblem:
             raise ValueError("lr must be positive")
         if not self.x_lo < self.x_hi:
             raise ValueError("x range must be non-empty")
+        if not 0.0 <= self.ema_alpha < 1.0 or self.ema_warmup_frac < 0.0:
+            raise ValueError("ema_alpha must be in [0, 1) and ema_warmup_frac >= 0")
 
 
 class OscillationTracker:

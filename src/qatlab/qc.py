@@ -154,8 +154,8 @@ def fold_bn_into_quant_scale(layer: LayerSpec) -> LayerSpec:
 
     With t = gain / sqrt(var + eps) per channel: W' = t W, bias' =
     t (bias - mu) + bn_bias, s' = s |t|.  A negative t flips the channel's
-    weight sign; its clip edge moves by one code at the extreme, which is
-    what the 1e-6 equality tolerance absorbs.
+    weight sign, so a weight at the lowest code u would need -u = v + 1 and
+    clips to v: that fold is not exact, and the ``fold`` task refuses it.
     """
     if layer.bn is None:
         raise ValueError("layer has no batch norm to fold")

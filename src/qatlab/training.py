@@ -149,8 +149,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
+        if self.lr <= 0.0:
+            raise ValueError("lr must be positive")
         if self.dampening_lambda < 0.0:
             raise ValueError("dampening_lambda must be >= 0")
+        if not 0.0 <= self.ema_alpha < 1.0 or self.ema_warmup_frac < 0.0:
+            raise ValueError("ema_alpha must be in [0, 1) and ema_warmup_frac >= 0")
 
 
 def _weight_codes(net, qlayers):

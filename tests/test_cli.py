@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 import subprocess
 import sys
 
@@ -7,9 +8,16 @@ import numpy as np
 import pytest
 
 from qatlab import cli
-from qatlab.checkpoint import checkpoint_to_network, load_checkpoint
+from qatlab.checkpoint import (
+    checkpoint_to_network,
+    load_checkpoint,
+    network_to_checkpoint,
+    save_checkpoint,
+)
 from qatlab.cli import main
 from qatlab.config import resolve_config
+from qatlab.network import DENSE, LayerSpec, NetworkSpec, make_bn
+from qatlab.quantizer import QuantizerState
 from qatlab.training import TrainConfig, attach_quantizers, evaluate, train_latent, train_qat
 
 
@@ -178,6 +186,29 @@ class TestQcFold:
         folded, _ = checkpoint_to_network(
             load_checkpoint(tmp_path / "fold-seed0" / "folded_checkpoint.qat"))
         assert all(l.bn is None for l in folded.layers)
+
+    def test_fold_refuses_inexact_fold(self, tmp_path):
+        """A negative BN gain sends a weight at the lowest code (-4 on the
+        3-bit grid) to +4, which clips to +3: the fold changes the outputs,
+        so the task fails instead of writing a folded checkpoint."""
+        layer = LayerSpec(
+            kind=DENSE,
+            weight=np.array([[-1.0, 0.5], [0.25, 0.5]]),
+            bias=np.zeros(2),
+            w_quant=QuantizerState(s=np.asarray(0.25), bits=3),
+            bn=make_bn(2, eps=0.0),
+        )
+        layer.bn.gain = np.array([-1.0, 1.0])
+        net = NetworkSpec(layers=[layer], input_shape=(2,))
+        spec = {"kind": "blobs", "seed": 0, "n": 40, "dim": 2, "classes": 2}
+        ckpt = tmp_path / "crafted.qat"
+        save_checkpoint(ckpt, network_to_checkpoint(net, {"experiment": {"dataset": spec}}))
+        assert main(["fold", "--out", str(tmp_path), "--set", f"checkpoint={ckpt}"]) == 3
+        m = read_manifest(tmp_path / "fold-seed0")
+        assert m["status"] == "failed"
+        assert m["artifacts"] == ["fold_report.csv"]
+        header, rows = read_csv(tmp_path / "fold-seed0" / "fold_report.csv")
+        assert float(dict(zip(header, rows[0]))["max_abs_output_diff"]) > 0.1
 
 
 class TestAblate:
@@ -368,16 +399,66 @@ class TestErrors:
     @pytest.mark.parametrize(
         "override",
         ["batch=[1]", 'lr="fast"', 'dampening_lambda="x"', "seeds=[true]", "bits_w=true",
-         "dataset.mode=blobs"],
+         "dataset.mode=blobs", 'toy.steps="5"', "toy.steps=true", "toy.bits_w=1.5",
+         "toy.ema_alpha=1.0", 'ema.enabled="no"', 'ema.warmup_frac="x"', "ema.warmup_frac=-1",
+         "qc.batch=[1]", 'qc.lr="x"', 'dataset.n="5"', 'dataset.noise="x"', "dataset.kind=idx",
+         'dataset.teacher="x"'],
     )
     def test_bad_config_types(self, tmp_path, override):
         out = tmp_path / "out"
         assert main(["train", "--out", str(out), "--set", override]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            ("no_tensors", "tensors"),
+            ("missing_tensor", "layer0.weight"),
+            ("bad_topology", "malformed"),
+            ("bad_magic", "magic"),
+            ("flipped_byte", "checksum"),
+        ],
+    )
+    def test_malformed_checkpoint(self, train_run, tmp_path, capsys, damage, named):
+        """A checkpoint file that exists but cannot be used is a runtime
+        failure (exit 3) whose message names what is wrong."""
+        raw = (train_run / "train-seed0" / "checkpoint.qat").read_bytes()
+        head_len = struct.unpack("<Q", raw[8:16])[0]
+        header, body = json.loads(raw[16 : 16 + head_len]), raw[16 + head_len :]
+        if damage == "no_tensors":
+            del header["tensors"]
+        elif damage == "missing_tensor":
+            header["tensors"] = [e for e in header["tensors"] if e["name"] != "layer0.weight"]
+        elif damage == "bad_topology":
+            header["topology"]["layers"] = [1]
+        elif damage == "bad_magic":
+            raw = b"NOTQATLB" + raw[8:]
+        else:
+            raw = raw[:-1] + bytes([raw[-1] ^ 0xFF])
+        if damage in ("no_tensors", "missing_tensor", "bad_topology"):
+            head = json.dumps(header).encode()
+            raw = raw[:8] + struct.pack("<Q", len(head)) + head + body
+        bad = tmp_path / "bad.qat"
+        bad.write_bytes(raw)
+        out = tmp_path / "out"
+        assert main(["eval", "--out", str(out), "--set", f"checkpoint={bad}"]) == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cnn_needs_16_features(self, tmp_path):
         assert main(["train", "--out", str(tmp_path), "--set", "network=cnn",
                      "--set", "dataset.dim=4"]) == 2
+
+
+def test_build_dataset_from_csv(tmp_path):
+    """A csv spec reads the ``target`` column by default and splits off eval
+    rows and a calibration subsample of the training rows."""
+    p = tmp_path / "d.csv"
+    p.write_text("a,target\n" + "".join(f"{i}.0,{2 * i}.0\n" for i in range(40)))
+    d = cli.build_dataset({"kind": "csv", "seed": 0, "path": str(p)})
+    assert d.task == "regression" and d.inputs.shape == (40, 1)
+    assert len(d.eval_idx) == 8 and len(d.calib_idx) == 3
+    assert np.isin(d.calib_idx, d.train_idx).all()
 
 
 def test_module_entry_point(tmp_path):

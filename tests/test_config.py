@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from qatlab.config import (
+    _SECTION_KEYS,
     ExperimentConfig,
     apply_override,
     config_from_dict,
@@ -12,6 +14,9 @@ from qatlab.config import (
     parse_override,
     resolve_config,
 )
+from qatlab.oscillation import ToyProblem
+from qatlab.qc import QCConfig
+from qatlab.training import TrainConfig
 
 
 class TestValidation:
@@ -69,6 +74,19 @@ class TestValidation:
         assert cfg.ema == {"enabled": True, "alpha": 0.9, "warmup_frac": 0.01}
         assert cfg.qc["lr"] == 0.01 and cfg.qc["source"] == "ema"
         assert cfg.dataset["kind"] == "blobs"
+
+    def test_section_keys_are_consumer_fields(self):
+        """Each section accepts exactly the fields of the dataclass built
+        from it; qc also takes the source key."""
+        def names(cls, prefix=""):
+            return {f.name[len(prefix):] for f in dataclasses.fields(cls)
+                    if f.name.startswith(prefix)}
+
+        assert _SECTION_KEYS["toy"] == names(ToyProblem)
+        assert _SECTION_KEYS["qc"] == names(QCConfig) | {"source"}
+        assert _SECTION_KEYS["ema"] == names(TrainConfig, "ema_")
+        assert set(ExperimentConfig().qc) == _SECTION_KEYS["qc"]
+        assert set(ExperimentConfig().ema) == _SECTION_KEYS["ema"]
 
     def test_section_must_be_object(self):
         with pytest.raises(ValueError, match="qc must be an object"):
