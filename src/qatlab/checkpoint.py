@@ -7,8 +7,10 @@ truncated or corrupted file fails loudly and names the bad tensor.
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +44,28 @@ def _tensor_bytes(arr):
     return arr.tobytes(), ("<f8" if arr.dtype.kind == "f" else "<i8")
 
 
+def write_atomically(path, write, mode="w"):
+    """Create or replace ``path`` with what ``write(fh)`` writes, so the
+    path holds either its previous bytes or all of the new ones.
+
+    The data goes to a temporary file in the same directory, is flushed to
+    disk, and then replaces ``path`` in one rename.  If ``write`` raises,
+    the temporary file is removed and ``path`` is untouched.  Text files
+    are opened with ``newline=""``, so line endings are written as given.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, ckpt: Checkpoint):
     """Write the checkpoint.  Tensor order and JSON layout are canonical,
     so saving the same state twice produces identical bytes."""
@@ -68,12 +92,15 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "tensors": entries,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(head)))
         fh.write(head)
         for raw in blob:
             fh.write(raw)
+
+    write_atomically(path, write, "wb")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -95,6 +122,8 @@ def load_checkpoint(path) -> Checkpoint:
     pos += head_len
     if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
         raise ValueError(f"{path}: header has no 'tensors' list")
+    if not isinstance(header.get("config", {}), dict):
+        raise ValueError(f"{path}: header 'config' is not an object")
     version = header.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(

@@ -18,9 +18,11 @@ from .checkpoint import (
     load_checkpoint,
     network_to_checkpoint,
     save_checkpoint,
+    write_atomically,
 )
 from .config import (
     ExperimentConfig,
+    check_dataset,
     config_hash,
     config_to_dict,
     resolve_config,
@@ -62,7 +64,7 @@ def _fmt(v):
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -70,6 +72,8 @@ def write_csv(path, header, rows):
                 w.writerow([_fmt(row.get(col)) for col in header])
             else:
                 w.writerow([_fmt(v) for v in row])
+
+    write_atomically(path, write)
 
 
 def out_root(cfg: ExperimentConfig) -> Path:
@@ -97,9 +101,12 @@ def write_manifest(run_dir, cfg, seed, wall, artifacts, status="ok", error=None,
     if error is not None:
         manifest["error"] = error
     manifest.update(extra)
-    with open(Path(run_dir) / "manifest.json", "w") as fh:
+
+    def write(fh):
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+    write_atomically(Path(run_dir) / "manifest.json", write)
     return manifest
 
 
@@ -213,14 +220,29 @@ def _open_checkpoint(cfg: ExperimentConfig):
     into checkpoints written downstream."""
     if not cfg.checkpoint:
         raise ValueError(f"the {cfg.task} task needs a checkpoint path")
+    # The file exists, so whatever fails from here on is a bad file, not a
+    # bad configuration.
     try:
         ckpt = load_checkpoint(cfg.checkpoint)
         net, ema = checkpoint_to_network(ckpt)
+        experiment = ckpt.config.get("experiment", {})
+        if not isinstance(experiment, dict):
+            raise ValueError("config 'experiment' is not an object")
     except ValueError as exc:
-        # The file exists, so this is a bad file, not a bad configuration.
         raise RuntimeError(f"unusable checkpoint: {exc}") from None
-    spec = ckpt.config.get("experiment", {}).get("dataset") or cfg.dataset
-    return ckpt, net, ema, spec, build_dataset(spec)
+    spec = experiment.get("dataset")
+    if not spec:
+        return ckpt, net, ema, cfg.dataset, build_dataset(cfg.dataset)
+    try:
+        if not isinstance(spec, dict):
+            raise ValueError(f"dataset must be an object, got {spec!r}")
+        # Checkpoints written before dataset.mode was removed carry it, and
+        # build_dataset ignores it.
+        check_dataset({k: v for k, v in spec.items() if k != "mode"})
+        dataset = build_dataset(spec)
+    except ValueError as exc:
+        raise RuntimeError(f"unusable checkpoint: {exc}") from None
+    return ckpt, net, ema, spec, dataset
 
 
 def _shadow_net(net, ema):

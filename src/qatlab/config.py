@@ -88,10 +88,10 @@ class ExperimentConfig:
         for section, defaults in _SECTION_DEFAULTS.items():
             values = {**defaults, **getattr(self, section)}
             setattr(self, section, values)
-            unknown = set(values) - _SECTION_KEYS[section]
-            if unknown:
-                raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
-            _check_types(f"{section}.", values, _SECTION_TYPES[section])
+            if section == "dataset":
+                check_dataset(values)
+            else:
+                _check_section(section, values)
         if not self.seeds or not all(_is_int(s) for s in self.seeds):
             raise ValueError("seeds must be a non-empty list of integers")
         for name in ("bits_w", "bits_a", "first_last_bits"):
@@ -103,12 +103,6 @@ class ExperimentConfig:
             _is_number(a) and 0.0 <= a < 1.0 for a in self.ema_alphas
         ):
             raise ValueError("ema_alphas must be a non-empty list of numbers in [0, 1)")
-
-        kind = self.dataset["kind"]
-        if kind not in ("blobs", "spirals", "regression", "idx", "csv"):
-            raise ValueError(f"dataset.kind must be a known generator, got {kind!r}")
-        if kind in ("idx", "csv") and not isinstance(self.dataset.get("path"), str):
-            raise ValueError(f"dataset.path must name the {kind} file")
         # Building what the sections configure runs its range checks now,
         # before any run directory exists.
         _build("toy section", self.toy_problem)
@@ -172,6 +166,25 @@ def _check_types(where, values, types):
             ok = check is None or check(value)
         if not ok:
             raise ValueError(f"{where}{key} must be {kind}, got {value!r}")
+
+
+def _check_section(section, values):
+    unknown = set(values) - _SECTION_KEYS[section]
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    _check_types(f"{section}.", values, _SECTION_TYPES[section])
+
+
+def check_dataset(spec: dict):
+    """Raise ValueError unless ``spec`` is a ``dataset`` section: known
+    keys, values of the generator-signature types, a known kind, and a
+    path for the file kinds."""
+    _check_section("dataset", spec)
+    kind = spec.get("kind")
+    if kind not in ("blobs", "spirals", "regression", "idx", "csv"):
+        raise ValueError(f"dataset.kind must be a known generator, got {kind!r}")
+    if kind in ("idx", "csv") and not isinstance(spec.get("path"), str):
+        raise ValueError(f"dataset.path must name the {kind} file")
 
 
 def _build(what, make):

@@ -11,6 +11,22 @@ linear op, and a nonlinearity.  The forward pass runs in one of three modes:
 The backward pass mirrors the forward exactly, invoking the straight-through
 quantizer backward at every quantizer.  Convolutions use im2col with
 slice-accumulate col2im, so gradients are deterministic.
+
+The conv path keeps one rule: a layout change may not reorder a reduction,
+and no BLAS call (``tensordot``, ``matmul``, ``einsum(optimize=True)``)
+enters it, because a different summation order changes the trained bits.
+im2col lays patches out (C, KH, KW, OH, OW, B): the reduced axes are
+outermost and the batch innermost, so the forward and input-gradient
+einsums loop innermost over contiguous output elements and add their terms
+in plain sequential order.  The weight gradients contract a batch-major
+(B, C, KH, KW, OH, OW) copy, whose innermost loop is the (y, x) dot
+product.  Every tensor that leaves the conv path is a C-contiguous
+(B, C, H, W) array again, so batch-norm statistics, quantize_backward and
+the bias sums reduce in memory order.  The results are bit-identical to
+the batch-major 6-D einsums that tests/test_network.py keeps as the
+reference, except with a 1x1 output map: there the reference reduces
+(c, i, j) with numpy's vectorised dot kernel, and the forward output can
+differ from it in the last bit.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -221,34 +237,36 @@ def _nonlin_grad(h, kind):
 
 
 def im2col(x, kh, kw, stride, pad):
-    """Unfold (B, C, H, W) into patches (B, C, KH, KW, OH, OW)."""
+    """Unfold (B, C, H, W) into patches laid out (C, KH, KW, OH, OW, B).
+
+    A pure copy: the reduced axes (c, i, j) lead and the batch is the
+    contiguous innermost axis (see the module docstring).
+    """
     b, c, h, w = x.shape
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    xp[:, :, pad : pad + h, pad : pad + w] = x
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, b), dtype=np.float64)
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(1, 2, 3, 0)
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"kernel {kh}x{kw} does not fit input {h}x{w} (pad {pad})")
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=np.float64)
+    cols = np.empty((c, kh, kw, oh, ow, b), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[
-                :, :, i : i + stride * oh : stride, j : j + stride * ow : stride
-            ]
+            cols[:, i, j] = xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
     return cols
 
 
 def col2im(dcols, x_shape, stride, pad):
-    """Fold patch gradients back, accumulating overlaps slice by slice."""
+    """Fold (C, KH, KW, OH, OW, B) patch gradients back into a C-contiguous
+    (B, C, H, W) array, adding the (i, j) slices in row-major order, so
+    every pixel sums its overlapping patches in a fixed order."""
     b, c, h, w = x_shape
-    _, _, kh, kw, oh, ow = dcols.shape
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    _, kh, kw, oh, ow, _ = dcols.shape
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, b), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
-                dcols[:, :, i, j]
-            )
-    return xp[:, :, pad : pad + h, pad : pad + w]
+            xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, i, j]
+    return np.ascontiguousarray(xp[:, pad : pad + h, pad : pad + w].transpose(3, 0, 1, 2))
 
 
 def _effective_weight(layer, mode, k):
@@ -272,10 +290,11 @@ def _linear(layer, a, w):
         return a @ w.T + layer.bias, None
     cols = im2col(a, w.shape[2], w.shape[3], layer.stride, layer.pad)
     if layer.kind == CONV2D:
-        out = np.einsum("ocij,bcijyx->boyx", w, cols)
+        out = np.einsum("ocij,cijyxb->oyxb", w, cols)
     else:
-        out = np.einsum("cij,bcijyx->bcyx", w[:, 0], cols)
-    return out + layer.bias[None, :, None, None], cols
+        out = np.einsum("cij,cijyxb->cyxb", w[:, 0], cols)
+    bias = layer.bias[None, :, None, None]
+    return np.add(out.transpose(3, 0, 1, 2), bias, order="C"), cols
 
 
 def _bn_forward(bn: BNParams, h, update_running: bool):
@@ -303,11 +322,16 @@ def _bn_forward(bn: BNParams, h, update_running: bool):
     return out, {"x_hat": x_hat, "std": std, "axes": axes, "shape": shape}
 
 
-def _bn_backward(bn: BNParams, ctx, dout):
+def _bn_backward(bn: BNParams, ctx, dout, param_grads: bool = True):
+    """Returns (dx, dgain, dbias).  Frozen (eval-mode) BN does not need the
+    parameter gradients for dx, so with ``param_grads=False`` they are
+    skipped and returned as None."""
     x_hat, std, axes, shape = ctx["x_hat"], ctx["std"], ctx["axes"], ctx["shape"]
+    g_over_std = (bn.gain / std).reshape(shape)
+    if bn.mode == "eval" and not param_grads:
+        return dout * g_over_std, None, None
     dgain = (dout * x_hat).sum(axis=axes)
     dbias = dout.sum(axis=axes)
-    g_over_std = (bn.gain / std).reshape(shape)
     if bn.mode == "eval":
         return dout * g_over_std, dgain, dbias
     n = dout.size // bn.channels
@@ -373,8 +397,19 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
     return a
 
 
-def backward(net: NetworkSpec, cache, loss_grad):
-    """Gradients for every entry of net.parameters(), chained through all layers.
+def _add(grads, name, g):
+    if name in grads:
+        grads[name] += g
+
+
+def backward(net: NetworkSpec, cache, loss_grad, wanted=None):
+    """Gradients for the entries of net.parameters() named in ``wanted``
+    (every entry when None), chained through all layers.
+
+    Work that feeds only unwanted entries is skipped: a layer's weight
+    gradient and its quantize backward, its bias sum and the gain and bias
+    gradients of frozen batch norm.  What is computed is the same bits
+    either way.
 
     Requires a cache from forward(..., cache=True) in latent or quantized
     mode; the soft-round diagnostic has no training path.
@@ -383,56 +418,82 @@ def backward(net: NetworkSpec, cache, loss_grad):
         raise RuntimeError("backward needs the cache from forward(cache=True)")
     if cache["mode"] == "soft_round":
         raise RuntimeError("no backward path for the soft_round diagnostic")
-    grads = {name: np.zeros_like(p) for name, p in net.parameters().items()}
+    grads = {
+        name: np.zeros_like(p)
+        for name, p in net.parameters().items()
+        if wanted is None or name in wanted
+    }
+    quantized = cache["mode"] == "quantized"
     d = np.asarray(loss_grad, dtype=np.float64)
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
         ctx = cache["layers"][i]
         p = f"layer{i}"
+        quant_w = layer.w_quant is not None and quantized
+        quant_a = layer.a_quant is not None and quantized
+        need_w = f"{p}.weight" in grads or (quant_w and f"{p}.w_scale" in grads)
         d = d * _nonlin_grad(ctx["phi_in"], layer.nonlinearity)
         if layer.bn is not None:
-            d, dgain, dbias = _bn_backward(layer.bn, ctx["bn_ctx"], d)
-            grads[f"{p}.bn.gain"] += dgain
-            grads[f"{p}.bn.bias"] += dbias
+            bn_grads = f"{p}.bn.gain" in grads or f"{p}.bn.bias" in grads
+            d, dgain, dbias = _bn_backward(layer.bn, ctx["bn_ctx"], d, bn_grads)
+            _add(grads, f"{p}.bn.gain", dgain)
+            _add(grads, f"{p}.bn.bias", dbias)
         if layer.qc_gamma is not None:
+            if f"{p}.qc_gamma" in grads or f"{p}.qc_beta" in grads:
+                caxes = tuple(j for j in range(d.ndim) if j != 1)
+                dgam = (d * ctx["h_lin"]).sum(axis=caxes)
+                dbet = d.sum(axis=caxes)
+                if layer.qc_gamma.size == 1:
+                    dgam = dgam.sum().reshape(layer.qc_gamma.shape)
+                    dbet = dbet.sum().reshape(layer.qc_beta.shape)
+                _add(grads, f"{p}.qc_gamma", dgam)
+                _add(grads, f"{p}.qc_beta", dbet)
             cshape = [1] * d.ndim
             cshape[1] = layer.qc_gamma.size
-            caxes = tuple(j for j in range(d.ndim) if j != 1)
-            dgam = (d * ctx["h_lin"]).sum(axis=caxes)
-            dbet = d.sum(axis=caxes)
-            if layer.qc_gamma.size == 1:
-                dgam = dgam.sum().reshape(layer.qc_gamma.shape)
-                dbet = dbet.sum().reshape(layer.qc_beta.shape)
-            grads[f"{p}.qc_gamma"] += dgam
-            grads[f"{p}.qc_beta"] += dbet
             d = d * layer.qc_gamma.reshape(cshape)
+        if f"{p}.bias" in grads:
+            grads[f"{p}.bias"] += d.sum(axis=0 if layer.kind == DENSE else (0, 2, 3))
+        if need_w:
+            if layer.kind == DENSE:
+                g_w = d.T @ ctx["a_used"]
+            else:
+                g_w = _conv_weight_grad(layer.kind, d, ctx["cols"])
+            if quant_w:
+                g_w, g_s = quantize_backward(layer.weight, layer.w_quant, g_w)
+                _add(grads, f"{p}.w_scale", g_s)
+            _add(grads, f"{p}.weight", g_w)
         if layer.kind == DENSE:
-            grads[f"{p}.bias"] += d.sum(axis=0)
-            d_w_used = d.T @ ctx["a_used"]
             d_a_used = d @ ctx["w_used"]
         else:
-            grads[f"{p}.bias"] += d.sum(axis=(0, 2, 3))
-            w_used = ctx["w_used"]
-            if layer.kind == CONV2D:
-                d_w_used = np.einsum("boyx,bcijyx->ocij", d, ctx["cols"])
-                dcols = np.einsum("boyx,ocij->bcijyx", d, w_used)
-            else:
-                d_w_used = np.einsum("bcyx,bcijyx->cij", d, ctx["cols"])[:, None]
-                dcols = np.einsum("bcyx,cij->bcijyx", d, w_used[:, 0])
-            d_a_used = col2im(dcols, ctx["a_used"].shape, layer.stride, layer.pad)
-        if layer.w_quant is not None and cache["mode"] == "quantized":
-            g_w, g_s = quantize_backward(layer.weight, layer.w_quant, d_w_used)
-            grads[f"{p}.weight"] += g_w
-            grads[f"{p}.w_scale"] += g_s
-        else:
-            grads[f"{p}.weight"] += d_w_used
-        if layer.a_quant is not None and cache["mode"] == "quantized":
+            d_a_used = _conv_input_grad(layer, d, ctx)
+        if quant_a:
             d_a_in, g_s = quantize_backward(ctx["a_in"], layer.a_quant, d_a_used)
-            grads[f"{p}.a_scale"] += g_s
+            _add(grads, f"{p}.a_scale", g_s)
         else:
             d_a_in = d_a_used
         d = d_a_in.reshape(ctx["orig_shape"])
     return grads
+
+
+def _conv_weight_grad(kind, d, cols):
+    """dW from (B, O, OH, OW) ``d`` and im2col ``cols``, contracted over a
+    batch-major copy of the patches (see the module docstring)."""
+    batch_major = np.ascontiguousarray(cols.transpose(5, 0, 1, 2, 3, 4))
+    if kind == CONV2D:
+        return np.einsum("boyx,bcijyx->ocij", d, batch_major)
+    return np.einsum("bcyx,bcijyx->cij", d, batch_major)[:, None]
+
+
+def _conv_input_grad(layer, d, ctx):
+    """Gradient w.r.t. the layer's (quantized) input, via patch gradients
+    in the im2col layout and col2im."""
+    d_t = np.ascontiguousarray(d.transpose(1, 2, 3, 0))
+    w_used = ctx["w_used"]
+    if layer.kind == CONV2D:
+        dcols = np.einsum("oyxb,ocij->cijyxb", d_t, w_used)
+    else:
+        dcols = np.einsum("cyxb,cij->cijyxb", d_t, w_used[:, 0])
+    return col2im(dcols, ctx["a_used"].shape, layer.stride, layer.pad)
 
 
 def dampening_penalty(net: NetworkSpec, lam: float):

@@ -106,7 +106,7 @@ def fit_qc(net, calib_x, calib_y, cfg: QCConfig, seed: int = 0):
             loss, g = loss_and_grad(net.loss, out, calib_y[idx])
             if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
                 raise RuntimeError(f"correction fitting diverged (loss={loss})")
-            grads = backward(net, cache, g)
+            grads = backward(net, cache, g, wanted=params)
             adam_step(opt, params, grads)
 
     corrections = {

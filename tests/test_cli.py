@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import struct
 import subprocess
@@ -417,6 +418,8 @@ class TestErrors:
             ("bad_topology", "malformed"),
             ("bad_magic", "magic"),
             ("flipped_byte", "checksum"),
+            ("config_not_object", "config"),
+            ("experiment_not_object", "experiment"),
         ],
     )
     def test_malformed_checkpoint(self, train_run, tmp_path, capsys, damage, named):
@@ -431,11 +434,15 @@ class TestErrors:
             header["tensors"] = [e for e in header["tensors"] if e["name"] != "layer0.weight"]
         elif damage == "bad_topology":
             header["topology"]["layers"] = [1]
+        elif damage == "config_not_object":
+            header["config"] = [1]
+        elif damage == "experiment_not_object":
+            header["config"]["experiment"] = [1]
         elif damage == "bad_magic":
             raw = b"NOTQATLB" + raw[8:]
         else:
             raw = raw[:-1] + bytes([raw[-1] ^ 0xFF])
-        if damage in ("no_tensors", "missing_tensor", "bad_topology"):
+        if damage not in ("bad_magic", "flipped_byte"):
             head = json.dumps(header).encode()
             raw = raw[:8] + struct.pack("<Q", len(head)) + head + body
         bad = tmp_path / "bad.qat"
@@ -444,6 +451,41 @@ class TestErrors:
         assert main(["eval", "--out", str(out), "--set", f"checkpoint={bad}"]) == 3
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"n": "5"}, "dataset.n"),
+            ({"kind": "nope"}, "dataset.kind"),
+            ({"n": 1}, "n >= classes"),
+        ],
+    )
+    def test_checkpoint_with_bad_dataset_spec(self, train_run, tmp_path, capsys, change, named):
+        """The dataset spec a checkpoint carries is checked like a config's
+        dataset section; a bad one makes the file unusable (exit 3)."""
+        ckpt = load_checkpoint(train_run / "train-seed0" / "checkpoint.qat")
+        ckpt.config["experiment"]["dataset"].update(change)
+        bad = tmp_path / "bad.qat"
+        save_checkpoint(bad, ckpt)
+        out = tmp_path / "out"
+        assert main(["eval", "--out", str(out), "--set", f"checkpoint={bad}"]) == 3
+        err = capsys.readouterr().err
+        assert "unusable checkpoint" in err and named in err
+        assert not out.exists()
+
+    def test_checkpoint_with_legacy_dataset_mode_loads(self, train_run, tmp_path):
+        """Checkpoints written while ``dataset.mode`` was a key still carry
+        it; they evaluate exactly as without it."""
+        ckpt = load_checkpoint(train_run / "train-seed0" / "checkpoint.qat")
+        runs = {}
+        for name, extra in (("plain", {}), ("legacy", {"mode": "blobs"})):
+            ckpt.config["experiment"]["dataset"].update(extra)
+            save_checkpoint(tmp_path / f"{name}.qat", ckpt)
+            out = tmp_path / name
+            argv = ["eval", "--out", str(out), "--set", f"checkpoint={tmp_path / name}.qat"]
+            assert main(argv) == 0
+            runs[name] = (out / "eval-seed0" / "eval.csv").read_bytes()
+        assert runs["legacy"] == runs["plain"]
 
     def test_cnn_needs_16_features(self, tmp_path):
         assert main(["train", "--out", str(tmp_path), "--set", "network=cnn",
@@ -459,6 +501,42 @@ def test_build_dataset_from_csv(tmp_path):
     assert d.task == "regression" and d.inputs.shape == (40, 1)
     assert len(d.eval_idx) == 8 and len(d.calib_idx) == 3
     assert np.isin(d.calib_idx, d.train_idx).all()
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format")
+
+
+@pytest.mark.parametrize("writer", ["csv", "manifest", "checkpoint"])
+def test_failed_write_keeps_previous_file(train_run, tmp_path, monkeypatch, writer):
+    """A write that fails part way leaves the previous file byte for byte,
+    and no temporary file beside it."""
+    cfg = resolve_config()
+    ckpt = load_checkpoint(train_run / "train-seed0" / "checkpoint.qat")
+    if writer == "csv":
+        path = tmp_path / "m.csv"
+        cli.write_csv(path, ["a"], [[1]])
+        fail = functools.partial(cli.write_csv, path, ["a"], [[2], [_Unprintable()]])
+    elif writer == "manifest":
+        path = tmp_path / "manifest.json"
+        cli.write_manifest(tmp_path, cfg, 0, 1.0, [])
+        fail = functools.partial(cli.write_manifest, tmp_path, cfg, 0, 2.0, [], bad=_Unprintable())
+    else:
+        path = tmp_path / "c.qat"
+        save_checkpoint(path, ckpt)
+        ckpt.tensors["layer0.bias"] = ckpt.tensors["layer0.bias"] + 1.0
+
+        def broken_fsync(fd):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr("qatlab.checkpoint.os.fsync", broken_fsync)
+        fail = functools.partial(save_checkpoint, path, ckpt)
+    before = path.read_bytes()
+    with pytest.raises((RuntimeError, TypeError, OSError)):
+        fail()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_module_entry_point(tmp_path):

@@ -18,8 +18,9 @@ from qatlab.network import (
     loss_and_grad,
     make_bn,
 )
+from qatlab.network import _bn_backward, _bn_forward, _nonlin, _nonlin_grad
 from qatlab.numeric import Rng, finite_diff
-from qatlab.quantizer import QuantizerState, init_scale, quantize
+from qatlab.quantizer import QuantizerState, init_scale, quantize, quantize_backward
 
 
 def per_tensor(s, bits=4, signed=True):
@@ -55,6 +56,79 @@ def conv_oracle(x, w, bias, stride, pad):
                                 )
                     out[n, o, y, xx] = acc + bias[o]
     return out
+
+
+def batch_major_im2col(x, kh, kw, stride, pad):
+    """Batch-major (B, C, KH, KW, OH, OW) patches for ``reference_conv_pass``."""
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    cols = np.empty((b, c, kh, kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols
+
+
+def batch_major_col2im(dcols, x_shape, stride, pad):
+    b, c, h, w = x_shape
+    _, _, kh, kw, oh, ow = dcols.shape
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
+                dcols[:, :, i, j]
+            )
+    return xp[:, :, pad : pad + h, pad : pad + w]
+
+
+def reference_conv_pass(net, x, loss_grad, mode):
+    """Output and parameter gradients of a chain of conv2d/depthwise layers,
+    contracted with the 6-D einsums on batch-major patches.  The reference
+    for bit identity: forward and backward must equal it exactly."""
+    quantized = mode == "quantized"
+    a, ctxs = x, []
+    for layer in net.layers:
+        a_used = quantize(a, layer.a_quant) if quantized and layer.a_quant else a
+        w = quantize(layer.weight, layer.w_quant) if quantized and layer.w_quant else layer.weight
+        cols = batch_major_im2col(a_used, w.shape[2], w.shape[3], layer.stride, layer.pad)
+        if layer.kind == CONV2D:
+            h = np.einsum("ocij,bcijyx->boyx", w, cols)
+        else:
+            h = np.einsum("cij,bcijyx->bcyx", w[:, 0], cols)
+        h = h + layer.bias[None, :, None, None]
+        bn_ctx = None
+        if layer.bn is not None:
+            h, bn_ctx = _bn_forward(layer.bn, h, update_running=False)
+        ctxs.append((a, a_used, w, cols, h, bn_ctx))
+        a = _nonlin(h, layer.nonlinearity)
+    grads, d = {}, loss_grad
+    for i in reversed(range(len(net.layers))):
+        layer, (a_in, a_used, w, cols, h, bn_ctx), p = net.layers[i], ctxs[i], f"layer{i}"
+        d = d * _nonlin_grad(h, layer.nonlinearity)
+        if layer.bn is not None:
+            d, grads[f"{p}.bn.gain"], grads[f"{p}.bn.bias"] = _bn_backward(layer.bn, bn_ctx, d)
+        grads[f"{p}.bias"] = d.sum(axis=(0, 2, 3))
+        if layer.kind == CONV2D:
+            d_w = np.einsum("boyx,bcijyx->ocij", d, cols)
+            dcols = np.einsum("boyx,ocij->bcijyx", d, w)
+        else:
+            d_w = np.einsum("bcyx,bcijyx->cij", d, cols)[:, None]
+            dcols = np.einsum("bcyx,cij->bcijyx", d, w[:, 0])
+        d_a = batch_major_col2im(dcols, a_used.shape, layer.stride, layer.pad)
+        if quantized and layer.w_quant:
+            grads[f"{p}.weight"], grads[f"{p}.w_scale"] = quantize_backward(
+                layer.weight, layer.w_quant, d_w
+            )
+        else:
+            grads[f"{p}.weight"] = d_w
+        if quantized and layer.a_quant:
+            d, grads[f"{p}.a_scale"] = quantize_backward(a_in, layer.a_quant, d_a)
+        else:
+            d = d_a
+    return a, grads
 
 
 class TestForward:
@@ -339,6 +413,29 @@ class TestBackward:
         np.testing.assert_allclose(grads["layer0.a_scale"], g_sa, atol=1e-14)
         np.testing.assert_allclose(grads["layer0.bias"], g_out.sum(0), atol=1e-14)
 
+    def test_wanted_subset_matches_full_backward(self):
+        rng = Rng(15)
+        net = build_cnn(in_shape=(1, 4, 4), out_dim=3, channels=(4, 6, 6, 8), rng=rng)
+        for layer in net.layers:
+            layer.w_quant = init_scale(layer.weight, bits=3)
+            layer.a_quant = per_tensor(0.2, bits=3)
+            layer.qc_gamma = 1.0 + 0.1 * rng.normal((layer.out_channels,))
+            layer.qc_beta = 0.1 * rng.normal((layer.out_channels,))
+        x = rng.normal((6, 1, 4, 4))
+        t = rng.integers(0, 3, (6,))
+        for bn_mode in ("train", "eval"):
+            for layer in net.layers[:-1]:
+                layer.bn.mode = bn_mode
+            out, cache = forward(net, x, "quantized", cache=True)
+            g = loss_and_grad(net.loss, out, t)[1]
+            full = backward(net, cache, g)
+            qc_names = {n for n in full if ".qc_" in n}
+            for wanted in (qc_names, {"layer0.a_scale", "layer3.bias", "layer1.bn.gain"}):
+                part = backward(net, cache, g, wanted=wanted)
+                assert set(part) == wanted
+                for name in wanted:
+                    assert np.array_equal(part[name], full[name]), name
+
     def test_duplicated_rows_leave_gradient_unchanged(self):
         rng = Rng(14)
         net = build_mlp(3, 2, hidden=(4,), rng=rng, loss="mse", batch_norm=False)
@@ -351,6 +448,66 @@ class TestBackward:
         g2 = backward(net, c2, loss_and_grad("mse", out2, td)[1])
         for k in g1:
             np.testing.assert_allclose(g1[k], g2[k], atol=1e-13)
+
+
+# (batch, input shape, [(kind, out channels, stride, pad), ...])
+BIT_IDENTITY_CASES = {
+    "trend": (
+        32,
+        (1, 4, 4),
+        [(CONV2D, 8, 1, 1), (CONV2D, 16, 1, 1), (DEPTHWISE, 16, 1, 1), (CONV2D, 32, 1, 1)],
+    ),
+    "batch1": (1, (2, 5, 5), [(CONV2D, 3, 1, 1), (DEPTHWISE, 3, 1, 1)]),
+    "odd_batch_stride2": (7, (3, 6, 6), [(CONV2D, 4, 2, 1), (DEPTHWISE, 4, 1, 1)]),
+    "pad0": (5, (2, 9, 9), [(CONV2D, 4, 2, 0), (DEPTHWISE, 4, 1, 0), (CONV2D, 1, 1, 1)]),
+}
+
+
+class TestConvBitIdentity:
+    """The conv path must reproduce the 6-D einsum reference bit for bit:
+    a change of summation order (a BLAS call, a new layout, a numpy whose
+    einsum reorders) fails here before it moves a trained checkpoint."""
+
+    @pytest.mark.parametrize("case", sorted(BIT_IDENTITY_CASES))
+    @pytest.mark.parametrize("mode", ["latent", "quantized"])
+    @pytest.mark.parametrize("granularity", ["per_tensor", "per_channel"])
+    def test_matches_einsum_reference(self, case, mode, granularity):
+        batch, in_shape, spec = BIT_IDENTITY_CASES[case]
+        rng = Rng(23)
+        layers, c_in = [], in_shape[0]
+        for kind, c_out, stride, pad in spec:
+            w = rng.normal((c_out, 1 if kind == DEPTHWISE else c_in, 3, 3)) * 0.4
+            layers.append(
+                LayerSpec(
+                    kind=kind,
+                    weight=w,
+                    bias=rng.normal((c_out,)) * 0.1,
+                    w_quant=init_scale(
+                        w,
+                        bits=3,
+                        granularity=granularity,
+                        axis=0 if granularity == "per_channel" else None,
+                    ),
+                    a_quant=per_tensor(0.2, bits=3),
+                    bn=make_bn(c_out),
+                    nonlinearity="silu",
+                    stride=stride,
+                    pad=pad,
+                )
+            )
+            c_in = c_out
+        net = NetworkSpec(layers=layers, input_shape=in_shape, loss="mse")
+        x = rng.normal((batch, *in_shape))
+        out, cache = forward(net, x, mode, cache=True)
+        g = rng.normal(out.shape)
+        grads = backward(net, cache, g)
+        ref_out, ref_grads = reference_conv_pass(net, x, g, mode)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, ref_out)
+        for name, ref in ref_grads.items():
+            assert np.array_equal(grads[name], ref), name
+        for name in set(grads) - set(ref_grads):  # scales are untouched in latent mode
+            assert mode == "latent" and not grads[name].any()
 
 
 class TestDampening:
