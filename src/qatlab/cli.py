@@ -173,13 +173,92 @@ def flip_stats(tracker):
     }
 
 
+def usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def map_seeds(fn, seeds):
+    """Run ``fn(seed)`` for every seed and return the results in seed order.
+    Every seed runs; if any failed, the first failure in seed order is
+    raised once all have finished.
+
+    Several seeds run in a pool of forked worker processes, one per usable
+    CPU up to one per seed.  Each seed draws only from its own
+    ``Rng(seed)``, so a worker computes the same bits the parent would.
+    Forking hands ``fn`` to the workers as it is, closures and
+    monkeypatched module globals included; only seeds, results and
+    exceptions are pickled.  A worker that dies fails every seed the pool
+    had not finished with a RuntimeError.  One seed, one usable CPU or no
+    ``fork`` runs the seeds in this process."""
+    workers = min(len(seeds), usable_cpus())
+    if workers > 1 and hasattr(os, "fork"):
+        outcomes = _forked_outcomes(fn, seeds, workers)
+    else:
+        outcomes = [_outcome(fn, seed) for seed in seeds]
+    for _, error in outcomes:
+        if error is not None:
+            raise error
+    return [result for result, _ in outcomes]
+
+
+def _outcome(fn, seed):
+    try:
+        return fn(seed), None
+    except Exception as exc:  # the other seeds still run; map_seeds raises it
+        return None, exc
+
+
+_worker_fn = None  # the per-seed function, in a forked worker only
+
+
+def _install_worker_fn(fn):
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(seed):
+    return _worker_fn(seed)
+
+
+def _forked_outcomes(fn, seeds, workers):
+    # Imported here: loading them costs every process ~17 ms of start-up.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not the platform default, so that fn reaches the workers
+    # through the initializer's arguments without being pickled.
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_install_worker_fn,
+        initargs=(fn,),
+    ) as pool:
+        futures = [pool.submit(_call_worker_fn, seed) for seed in seeds]
+        outcomes = []
+        for seed, future in zip(seeds, futures):
+            try:
+                outcomes.append((future.result(), None))
+            except BrokenProcessPool:
+                lost = RuntimeError(f"seed {seed} did not finish: a worker process died")
+                outcomes.append((None, lost))
+            except Exception as exc:
+                outcomes.append((None, exc))
+    return outcomes
+
+
 def _per_seed(cfg, work):
-    """Run ``work(seed, run_dir)`` for every seed.  ``work`` returns the
-    artifacts it wrote and the extra manifest fields, and gets an ``ok``
-    manifest.  A failing seed gets a flagged manifest over whatever partial
-    artifacts it left, then the original error propagates so the exit code
+    """Run ``work(seed, run_dir)`` for every seed through ``map_seeds``.
+    ``work`` returns the artifacts it wrote and the extra manifest fields,
+    and gets an ``ok`` manifest.  A failing seed gets a flagged manifest
+    over whatever partial artifacts it left; the other seeds still run, and
+    then the first failure in seed order propagates so the exit code
     reflects its kind."""
-    for seed in cfg.seeds:
+
+    def one(seed):
         run_dir = run_dir_for(cfg, seed)
         start = time.perf_counter()
         try:
@@ -194,6 +273,8 @@ def _per_seed(cfg, work):
                 run_dir, cfg, seed, wall, existing, status="failed", error=str(exc)
             )
             raise
+
+    map_seeds(one, cfg.seeds)
 
 
 def _qat_run(cfg: ExperimentConfig, dataset, seed, ema_alphas=None):

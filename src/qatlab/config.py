@@ -92,8 +92,12 @@ class ExperimentConfig:
                 check_dataset(values)
             else:
                 _check_section(section, values)
-        if not self.seeds or not all(_is_int(s) for s in self.seeds):
-            raise ValueError("seeds must be a non-empty list of integers")
+        # Philox takes keys in [0, 2**128); each seed writes its own run
+        # directory, so a repeated seed would write one directory twice.
+        if not self.seeds or not all(_is_int(s) and 0 <= s < 2**128 for s in self.seeds):
+            raise ValueError("seeds must be a non-empty list of integers in [0, 2**128)")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must not repeat, got {self.seeds!r}")
         for name in ("bits_w", "bits_a", "first_last_bits"):
             if not 1 <= getattr(self, name) <= 16:
                 raise ValueError(f"{name} must be in [1, 16]")

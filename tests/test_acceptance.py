@@ -27,7 +27,7 @@ from qatlab.checkpoint import (
     network_to_checkpoint,
     save_checkpoint,
 )
-from qatlab.cli import main
+from qatlab.cli import main, map_seeds
 from qatlab.datasets import gen_classification
 from qatlab.ema import EMAState, ema_update, materialize_ema
 from qatlab.network import (
@@ -306,35 +306,38 @@ def test_criterion_5_qc_algebra(tmp_path):
            f"(<=1e-6), checkpointed eval gap {ckpt_gap:.1e} (<=1e-6), {wall:.1f}s")
 
 
+def _trend_seed(seed):
+    data = gen_classification(seed=seed, n=2000, dim=16, classes=3,
+                              noise=1.8, separation=5.0, calib_fraction=0.25)
+    net = build_cnn(in_shape=(1, 4, 4), out_dim=3, rng=Rng(seed).child("init"))
+    train_latent(net, data, 12, 32, 4e-3, seed)
+    qnet = attach_quantizers(net, data.calib_x, bits_w=3, bits_a=3)
+    cfg = TrainConfig(epochs=24, batch=32, lr=4e-3, seed=seed,
+                      ema_alpha=0.995, ema_warmup_frac=0.1)
+    qnet, ema, tracker, _ = train_qat(qnet, data, cfg)
+    shadow = materialize_ema(qnet, ema)
+    plain_acc = evaluate(qnet, data.eval_x, data.eval_y)["accuracy"]
+    calib_before = evaluate(shadow, data.calib_x, data.calib_y)["loss"]
+    corrected, _ = fit_qc(shadow, data.calib_x, data.calib_y,
+                          QCConfig(lr=3e-3, batch=8), seed=seed)
+    calib_after = evaluate(corrected, data.calib_x, data.calib_y)["loss"]
+    emaqc_acc = evaluate(corrected, data.eval_x, data.eval_y)["accuracy"]
+    freq = flip_frequency(tracker)
+    return dict(
+        seed=seed, data=data, live=qnet, shadow=shadow,
+        plain_acc=plain_acc, emaqc_acc=emaqc_acc,
+        calib_drop=calib_after - calib_before,
+        osc_fraction=float((freq > 0.05).mean()),
+    )
+
+
 @pytest.fixture(scope="session")
 def trend_runs():
     """Shared 10-seed trend computation: CNN with a depthwise block at
-    3-bit weights and activations, plain vs EMA-shadow vs corrected."""
-    rows = []
+    3-bit weights and activations, plain vs EMA-shadow vs corrected.  The
+    seeds train in parallel worker processes (``map_seeds``)."""
     t0 = time.perf_counter()
-    for seed in range(10):
-        data = gen_classification(seed=seed, n=2000, dim=16, classes=3,
-                                  noise=1.8, separation=5.0, calib_fraction=0.25)
-        net = build_cnn(in_shape=(1, 4, 4), out_dim=3, rng=Rng(seed).child("init"))
-        train_latent(net, data, 12, 32, 4e-3, seed)
-        qnet = attach_quantizers(net, data.calib_x, bits_w=3, bits_a=3)
-        cfg = TrainConfig(epochs=24, batch=32, lr=4e-3, seed=seed,
-                          ema_alpha=0.995, ema_warmup_frac=0.1)
-        qnet, ema, tracker, _ = train_qat(qnet, data, cfg)
-        shadow = materialize_ema(qnet, ema)
-        plain_acc = evaluate(qnet, data.eval_x, data.eval_y)["accuracy"]
-        calib_before = evaluate(shadow, data.calib_x, data.calib_y)["loss"]
-        corrected, _ = fit_qc(shadow, data.calib_x, data.calib_y,
-                              QCConfig(lr=3e-3, batch=8), seed=seed)
-        calib_after = evaluate(corrected, data.calib_x, data.calib_y)["loss"]
-        emaqc_acc = evaluate(corrected, data.eval_x, data.eval_y)["accuracy"]
-        freq = flip_frequency(tracker)
-        rows.append(dict(
-            seed=seed, data=data, live=qnet, shadow=shadow,
-            plain_acc=plain_acc, emaqc_acc=emaqc_acc,
-            calib_drop=calib_after - calib_before,
-            osc_fraction=float((freq > 0.05).mean()),
-        ))
+    rows = map_seeds(_trend_seed, list(range(10)))
     t_train = time.perf_counter() - t0
 
     t0 = time.perf_counter()

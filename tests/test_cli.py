@@ -1,6 +1,7 @@
 import csv
 import functools
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -260,6 +261,9 @@ class TestAblate:
                 == (tmp_path / "reference.csv").read_bytes())
 
     def test_ema_decay_trains_once_per_seed(self, tmp_path, monkeypatch):
+        """One seed, which runs in this process, pretrains and trains once.
+        Two seeds run in worker processes, where these counters cannot see
+        the calls, so each seed's table is checked against a one-seed run."""
         calls = {"train_latent": 0, "train_qat": 0}
 
         def counting(name):
@@ -273,14 +277,20 @@ class TestAblate:
 
         for name in calls:
             monkeypatch.setattr(cli, name, counting(name))
-        assert main(["ablate", "--out", str(tmp_path), "--set", "ablate_kind=ema_decay",
-                     "--set", "ema_alphas=[0.9,0.99,0.999]", "--set", "seeds=[0,1]",
-                     "--set", "epochs=1", "--set", "pretrain_epochs=1",
-                     "--set", "dataset.n=200"]) == 0
-        assert calls == {"train_latent": 2, "train_qat": 2}
+        args = ["--set", "ablate_kind=ema_decay", "--set", "ema_alphas=[0.9,0.99,0.999]",
+                "--set", "epochs=1", "--set", "pretrain_epochs=1", "--set", "dataset.n=200"]
         for seed in (0, 1):
-            _, rows = read_csv(tmp_path / f"ablate-seed{seed}" / "ema_decay.csv")
+            out = tmp_path / f"one{seed}"
+            assert main(["ablate", "--out", str(out), "--set", f"seeds=[{seed}]"] + args) == 0
+        assert calls == {"train_latent": 2, "train_qat": 2}
+        assert main(["ablate", "--out", str(tmp_path / "two"), "--set", "seeds=[0,1]"]
+                    + args) == 0
+        for seed in (0, 1):
+            table = tmp_path / "two" / f"ablate-seed{seed}" / "ema_decay.csv"
+            _, rows = read_csv(table)
             assert [r[0] for r in rows] == ["0.9", "0.99", "0.999"]
+            one = tmp_path / f"one{seed}" / f"ablate-seed{seed}" / "ema_decay.csv"
+            assert table.read_bytes() == one.read_bytes()
 
 
     def test_ema_decay_honours_dampening(self, tmp_path):
@@ -403,7 +413,8 @@ class TestErrors:
          "dataset.mode=blobs", 'toy.steps="5"', "toy.steps=true", "toy.bits_w=1.5",
          "toy.ema_alpha=1.0", 'ema.enabled="no"', 'ema.warmup_frac="x"', "ema.warmup_frac=-1",
          "qc.batch=[1]", 'qc.lr="x"', 'dataset.n="5"', 'dataset.noise="x"', "dataset.kind=idx",
-         'dataset.teacher="x"'],
+         'dataset.teacher="x"', "seeds=[-1]", "seeds=[340282366920938463463374607431768211456]",
+         "seeds=[0,0]"],
     )
     def test_bad_config_types(self, tmp_path, override):
         out = tmp_path / "out"
@@ -547,3 +558,99 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "toy-seed0" / "toy_trace.csv").exists()
+
+
+class TestSeedPool:
+    """Several seeds run in forked worker processes (``cli.map_seeds``)."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Pretend this machine has ``n`` usable CPUs, so the pool path runs
+        whatever the machine has."""
+
+        def set_cpus(n):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: n)
+
+        return set_cpus
+
+    def test_seeds_run_in_workers(self, cpus):
+        cpus(3)
+        parent = os.getpid()
+        pids = cli.map_seeds(lambda seed: (seed, os.getpid()), [5, 3, 4])
+        assert [seed for seed, _ in pids] == [5, 3, 4]
+        assert parent not in {pid for _, pid in pids}
+        assert cli.map_seeds(lambda seed: os.getpid(), [7]) == [parent]
+
+    def test_pool_writes_what_single_seed_calls_write(self, tmp_path, cpus):
+        cpus(3)
+        steps = ["--set", "toy.steps=300"]
+        pooled = tmp_path / "pooled"
+        assert main(["toy", "--out", str(pooled), "--set", "seeds=[0,1,2]"] + steps) == 0
+        for seed in (0, 1, 2):
+            single = tmp_path / "single"
+            assert main(["toy", "--out", str(single), "--set", f"seeds=[{seed}]"] + steps) == 0
+            a, b = pooled / f"toy-seed{seed}", single / f"toy-seed{seed}"
+            assert (a / "toy_trace.csv").read_bytes() == (b / "toy_trace.csv").read_bytes()
+            ma, mb = read_manifest(a), read_manifest(b)
+            assert ma["config"] == {**mb["config"], "seeds": [0, 1, 2], "out_dir": str(pooled)}
+            for m in (ma, mb):
+                for key in ("wall_time_s", "config", "config_hash"):
+                    del m[key]
+            assert ma == mb
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_every_seed_runs_and_first_failure_decides(self, tmp_path, monkeypatch, capsys,
+                                                       cpus, n):
+        """Seeds 1 and 3 fail: every seed still gets its manifest, and seed
+        1's error sets the exit code and the message, in process or pool."""
+        cpus(n)
+        real = cli.run_toy
+
+        def failing(problem, use_ema, rng):
+            if rng.seed in (1, 3):
+                raise RuntimeError(f"toy seed {rng.seed} diverged")
+            return real(problem, use_ema=use_ema, rng=rng)
+
+        monkeypatch.setattr(cli, "run_toy", failing)
+        assert main(["toy", "--out", str(tmp_path), "--set", "seeds=[0,1,2,3]",
+                     "--set", "toy.steps=50"]) == 3
+        status = {s: read_manifest(tmp_path / f"toy-seed{s}")["status"] for s in range(4)}
+        assert status == {0: "ok", 1: "failed", 2: "ok", 3: "failed"}
+        assert read_manifest(tmp_path / "toy-seed1")["error"] == "toy seed 1 diverged"
+        err = capsys.readouterr().err
+        assert "toy seed 1 diverged" in err and "seed 3" not in err
+
+    def test_dead_worker_exits_3(self, tmp_path):
+        """A worker that dies ends the run with exit 3 and a message, not a
+        hang or a traceback."""
+        script = (
+            "import os, sys\n"
+            "from qatlab import cli\n"
+            "cli.usable_cpus = lambda: 2\n"
+            "real, parent = cli.run_toy, os.getpid()\n"
+            "def dying(problem, use_ema, rng):\n"
+            "    if rng.seed == 1 and os.getpid() != parent:\n"
+            "        os._exit(7)\n"
+            "    return real(problem, use_ema=use_ema, rng=rng)\n"
+            "cli.run_toy = dying\n"
+            f"sys.exit(cli.main(['toy', '--out', {str(tmp_path)!r}, '--set', 'seeds=[0,1]',"
+            " '--set', 'toy.steps=50']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 3
+        assert "a worker process died" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_import_leaves_the_pool_modules_unloaded(self):
+        """Loading the pool modules costs every process start-up time, so
+        only a run with several seeds imports them."""
+        script = (
+            "import sys, qatlab.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m in ('multiprocessing', 'concurrent.futures.process')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

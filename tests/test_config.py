@@ -53,6 +53,9 @@ class TestValidation:
             {"seeds": 3},
             {"lr": float("nan")},
             {"dataset": {"kind": "blobs", "mode": "blobs"}},
+            {"seeds": [-1]},
+            {"seeds": [2**128]},
+            {"seeds": [0, 1, 0]},
         ],
     )
     def test_bad_field(self, kwargs):
