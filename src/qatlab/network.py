@@ -36,9 +36,8 @@ import numpy as np
 from .quantizer import (
     QuantizerState,
     SoftRoundConfig,
-    quantize,
     quantize_backward,
-    round_half_away,
+    round_to_grid,
     soft_round,
 )
 
@@ -269,20 +268,15 @@ def col2im(dcols, x_shape, stride, pad):
     return np.ascontiguousarray(xp[:, pad : pad + h, pad : pad + w].transpose(3, 0, 1, 2))
 
 
-def _effective_weight(layer, mode, k):
-    if layer.w_quant is None or mode == "latent":
-        return layer.weight
+def _effective(x, q, mode, k, keep):
+    """The value a layer uses in place of x under quantizer q and, if keep
+    is set, the rounding the backward reuses (None when not kept)."""
+    if q is None or mode == "latent":
+        return x, None
     if mode == "soft_round":
-        return soft_round(layer.weight, layer.w_quant, SoftRoundConfig(k=k))
-    return quantize(layer.weight, layer.w_quant)
-
-
-def _effective_input(layer, a, mode, k):
-    if layer.a_quant is None or mode == "latent":
-        return a
-    if mode == "soft_round":
-        return soft_round(a, layer.a_quant, SoftRoundConfig(k=k))
-    return quantize(a, layer.a_quant)
+        return soft_round(x, q, SoftRoundConfig(k=k)), None
+    value, _, rounding = round_to_grid(x, q)
+    return value, rounding if keep else None
 
 
 def _linear(layer, a, w):
@@ -365,8 +359,8 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
         if layer.kind == DENSE and a.ndim > 2:
             a = a.reshape(a.shape[0], -1)
         a_in = a
-        a_used = _effective_input(layer, a_in, mode, k)
-        w_used = _effective_weight(layer, mode, k)
+        a_used, a_round = _effective(a_in, layer.a_quant, mode, k, cache)
+        w_used, w_round = _effective(layer.weight, layer.w_quant, mode, k, cache)
         h, cols = _linear(layer, a_used, w_used)
         h_lin = h
         if layer.qc_gamma is not None:
@@ -384,7 +378,9 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
                     "orig_shape": orig_shape,
                     "a_in": a_in,
                     "a_used": a_used,
+                    "a_round": a_round,
                     "w_used": w_used,
+                    "w_round": w_round,
                     "cols": cols,
                     "h_lin": h_lin,
                     "phi_in": h,
@@ -459,7 +455,7 @@ def backward(net: NetworkSpec, cache, loss_grad, wanted=None):
             else:
                 g_w = _conv_weight_grad(layer.kind, d, ctx["cols"])
             if quant_w:
-                g_w, g_s = quantize_backward(layer.weight, layer.w_quant, g_w)
+                g_w, g_s = quantize_backward(ctx["w_round"], layer.w_quant, g_w)
                 _add(grads, f"{p}.w_scale", g_s)
             _add(grads, f"{p}.weight", g_w)
         if layer.kind == DENSE:
@@ -467,7 +463,7 @@ def backward(net: NetworkSpec, cache, loss_grad, wanted=None):
         else:
             d_a_used = _conv_input_grad(layer, d, ctx)
         if quant_a:
-            d_a_in, g_s = quantize_backward(ctx["a_in"], layer.a_quant, d_a_used)
+            d_a_in, g_s = quantize_backward(ctx["a_round"], layer.a_quant, d_a_used)
             _add(grads, f"{p}.a_scale", g_s)
         else:
             d_a_in = d_a_used
@@ -509,10 +505,9 @@ def dampening_penalty(net: NetworkSpec, lam: float):
         if layer.w_quant is None:
             continue
         q = layer.w_quant
-        z = layer.weight / q.broadcast_scale(layer.weight)
-        r = round_half_away(z)
-        in_range = (r >= q.u) & (r <= q.v)
-        diff = (quantize(layer.weight, q) - layer.weight) * in_range
+        w_q, _, rounding = round_to_grid(layer.weight, q)
+        in_range = (rounding.r >= q.u) & (rounding.r <= q.v)
+        diff = (w_q - layer.weight) * in_range
         penalty += lam * float((diff * diff).sum())
         grads[f"layer{i}.weight"] = 2.0 * lam * -diff
     return penalty, grads

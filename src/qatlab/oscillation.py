@@ -22,6 +22,7 @@ from .quantizer import (
     quantize,
     quantize_backward,
     round_half_away,
+    round_to_grid,
 )
 
 DIVERGENCE_LIMIT = 1e6
@@ -142,17 +143,18 @@ def boundary_histogram(w, q: QuantizerState, bins: int) -> BoundaryHistogram:
 
 def toy_objective(w, s_w: QuantizerState, s_x: QuantizerState, x_batch, w_star):
     """Mean L2 distance between x*w_star and its doubly quantized model."""
-    e = _residual(w, s_w, s_x, x_batch, w_star)
-    return float(np.mean(np.sqrt(np.sum(e * e, axis=1))))
-
-
-def _residual(w, s_w, s_x, x_batch, w_star):
     x = np.asarray(x_batch, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("x_batch must be 1-d")
-    qx = quantize(x, s_x)
-    qw = quantize(np.asarray(w, dtype=np.float64), s_w)
+    return _mean_norm(_residual(x, quantize(x, s_x), quantize(w, s_w), w_star))
+
+
+def _residual(x, qx, qw, w_star):
     return x[:, None] * np.asarray(w_star)[None, :] - qx[:, None] * qw[None, :]
+
+
+def _mean_norm(e):
+    return float(np.mean(np.sqrt(np.sum(e * e, axis=1))))
 
 
 def run_toy(p: ToyProblem, use_ema: bool = False, rng: Rng = None):
@@ -162,63 +164,56 @@ def run_toy(p: ToyProblem, use_ema: bool = False, rng: Rng = None):
     integer codes fed to the tracker.  With use_ema, shadows of all three
     trainables are updated after each step and recorded in parallel.
     Aborts if the reported loss exceeds DIVERGENCE_LIMIT.
+
+    Each step rounds x and w once; that rounding feeds the residual, the
+    recorded codes and the straight-through backward.  The EMA shadow
+    codes are a third rounding.  The scales are updated in place.
     """
     if rng is None:
         raise ValueError("run_toy needs an explicit rng")
     q_w = QuantizerState(s=np.asarray(float(p.s_w0)), bits=p.bits_w, signed=True)
     q_x = QuantizerState(s=np.asarray(float(p.s_x0)), bits=p.bits_x, signed=False)
     w = p.w_star.copy()
-    n = w.size
     tracker = OscillationTracker(window=max(p.steps, 2))
-    ema = None
-    if use_ema:
-        ema = EMAState(
-            alpha=p.ema_alpha, warmup_iters=int(p.ema_warmup_frac * p.steps)
-        )
     rows = {k: [] for k in ("w", "q_w", "s_w", "s_x", "loss", "codes")}
     if use_ema:
+        ema = EMAState(alpha=p.ema_alpha, warmup_iters=int(p.ema_warmup_frac * p.steps))
+        sh_q_w = q_w.copy()
         for k in ("ema_w", "ema_s_w", "ema_s_x", "ema_codes"):
             rows[k] = []
 
     for step in range(p.steps):
         x = rng.uniform((p.batch_size,), p.x_lo, p.x_hi)
-        e = _residual(w, q_w, q_x, x, p.w_star)
-        loss = float(np.mean(np.sqrt(np.sum(e * e, axis=1))))
+        qx, _, x_round = round_to_grid(x, q_x)
+        qw, w_code, w_round = round_to_grid(w, q_w)
+        e = _residual(x, qx, qw, p.w_star)
+        loss = _mean_norm(e)
         if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             raise RuntimeError(f"toy run diverged at step {step}: loss={loss}")
 
-        codes = integer_code(w, q_w)
+        codes = w_code.astype(np.int64)
         record_step(tracker, codes)
-        rows["w"].append(w.copy())
-        rows["q_w"].append(quantize(w, q_w))
+        rows["w"].append(w)  # w is rebound below, never written in place
+        rows["q_w"].append(qw)
         rows["s_w"].append(float(q_w.s))
         rows["s_x"].append(float(q_x.s))
         rows["loss"].append(loss)
         rows["codes"].append(codes)
         if use_ema:
             sh_w = ema.shadows.get("w", w)
-            sh_sw = float(ema.shadows.get("s_w", q_w.s))
-            sh_sx = float(ema.shadows.get("s_x", q_x.s))
-            sh_q = QuantizerState(s=np.asarray(sh_sw), bits=p.bits_w, signed=True)
-            rows["ema_w"].append(np.asarray(sh_w).copy())
-            rows["ema_s_w"].append(sh_sw)
-            rows["ema_s_x"].append(sh_sx)
-            rows["ema_codes"].append(integer_code(sh_w, sh_q))
+            sh_q_w.s[...] = ema.shadows.get("s_w", q_w.s)
+            rows["ema_w"].append(sh_w.copy())
+            rows["ema_s_w"].append(float(sh_q_w.s))
+            rows["ema_s_x"].append(float(ema.shadows.get("s_x", q_x.s)))
+            rows["ema_codes"].append(integer_code(sh_w, sh_q_w))
 
         # Squared-norm gradients of the sampled objective.
-        qx = quantize(x, q_x)
-        g_qw = -2.0 / x.size * (qx @ e)
-        g_w, g_sw = quantize_backward(w, q_w, g_qw)
-        g_qx = -2.0 / x.size * (e @ quantize(w, q_w))
-        _, g_sx = quantize_backward(x, q_x, g_qx)
+        g_w, g_sw = quantize_backward(w_round, q_w, -2.0 / x.size * (qx @ e))
+        _, g_sx = quantize_backward(x_round, q_x, -2.0 / x.size * (e @ qw))
 
         w = w - p.lr * g_w
-        q_w = QuantizerState(
-            s=np.maximum(q_w.s - p.lr * g_sw, SCALE_FLOOR), bits=p.bits_w, signed=True
-        )
-        q_x = QuantizerState(
-            s=np.maximum(q_x.s - p.lr * g_sx, SCALE_FLOOR), bits=p.bits_x, signed=False
-        )
+        q_w.s[...] = np.maximum(q_w.s - p.lr * g_sw, SCALE_FLOOR)
+        q_x.s[...] = np.maximum(q_x.s - p.lr * g_sx, SCALE_FLOOR)
         if use_ema:
             ema_update(ema, {"w": w, "s_w": q_w.s, "s_x": q_x.s})
 
@@ -226,12 +221,9 @@ def run_toy(p: ToyProblem, use_ema: bool = False, rng: Rng = None):
     eval_x = rng.child("toy_eval").uniform((4096,), p.x_lo, p.x_hi)
     trace["final_eval_loss"] = toy_objective(w, q_w, q_x, eval_x, p.w_star)
     if use_ema:
-        sh_q_w = QuantizerState(
-            s=np.asarray(float(ema.shadows["s_w"])), bits=p.bits_w, signed=True
-        )
-        sh_q_x = QuantizerState(
-            s=np.asarray(float(ema.shadows["s_x"])), bits=p.bits_x, signed=False
-        )
+        sh_q_w.s[...] = ema.shadows["s_w"]
+        sh_q_x = q_x.copy()
+        sh_q_x.s[...] = ema.shadows["s_x"]
         trace["final_eval_loss_ema"] = toy_objective(
             ema.shadows["w"], sh_q_w, sh_q_x, eval_x, p.w_star
         )

@@ -1,11 +1,15 @@
 """Simulated (fake) quantization with a learned step size.
 
 Forward pass maps a tensor onto the uniform grid ``s * clip(round(w / s), u, v)``.
-The backward pass treats the rounding operator as identity inside the clip
-range (straight-through) and produces the learned-step-size gradient for the
-scale factor.  A threshold-based soft-rounding variant rounds only elements
-that already sit close to a grid level, leaving the rest latent; it is a
-diagnostic, not a training path.
+The fake-quantize forward rounds in one place, ``round_to_grid``: it
+computes ``z = w / s`` and ``r = round(z)`` once and returns them as a
+``Rounding`` beside the fake-quantized value and the integer code.  The
+backward pass takes that rounding from the forward instead of rounding
+again; it treats the rounding operator as identity inside the clip range
+(straight-through) and produces the learned-step-size gradient for the
+scale factor.  A threshold-based
+soft-rounding variant rounds only elements that already sit close to a grid
+level, leaving the rest latent; it is a diagnostic, not a training path.
 
 Rounding ties break half-away-from-zero; this is frozen here because every
 downstream determinism guarantee depends on one fixed choice.
@@ -14,6 +18,7 @@ downstream determinism guarantee depends on one fixed choice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +26,9 @@ __all__ = [
     "SCALE_FLOOR",
     "QuantizerState",
     "SoftRoundConfig",
+    "Rounding",
     "round_half_away",
+    "round_to_grid",
     "quantize",
     "quantize_backward",
     "soft_round",
@@ -115,21 +122,40 @@ class SoftRoundConfig:
             raise ValueError(f"soft-round threshold must lie in [0, 0.5], got {self.k}")
 
 
-def quantize(w: np.ndarray, q: QuantizerState) -> np.ndarray:
-    """Map w onto the quantization grid: s * clip(round(w / s), u, v)."""
+class Rounding(NamedTuple):
+    """``z = w / s`` and ``r = round_half_away(z)`` from one rounding of w
+    onto a quantizer's grid, kept for the straight-through backward."""
+
+    z: np.ndarray
+    r: np.ndarray
+
+
+def round_to_grid(
+    w: np.ndarray, q: QuantizerState
+) -> tuple[np.ndarray, np.ndarray, Rounding]:
+    """Fake-quantize w: returns ``(s * code, code, Rounding(z, r))``, where
+    ``code = clip(r, u, v)`` is the integer grid index as float64.
+
+    Rejects non-finite input, which has no grid code.
+    """
     w = np.asarray(w, dtype=np.float64)
     if not np.all(np.isfinite(w)):
-        raise ValueError("quantize rejects non-finite input")
+        raise ValueError("quantizer rejects non-finite input")
     s = q.broadcast_scale(w)
-    code = np.clip(round_half_away(w / s), q.u, q.v)
-    return s * code
+    z = w / s
+    r = round_half_away(z)
+    code = np.clip(r, q.u, q.v)
+    return s * code, code, Rounding(z, r)
+
+
+def quantize(w: np.ndarray, q: QuantizerState) -> np.ndarray:
+    """Map w onto the quantization grid: s * clip(round(w / s), u, v)."""
+    return round_to_grid(w, q)[0]
 
 
 def integer_code(w: np.ndarray, q: QuantizerState) -> np.ndarray:
     """Integer grid index of each element: clip(round(w / s), u, v)."""
-    w = np.asarray(w, dtype=np.float64)
-    s = q.broadcast_scale(w)
-    return np.clip(round_half_away(w / s), q.u, q.v).astype(np.int64)
+    return round_to_grid(w, q)[1].astype(np.int64)
 
 
 def _scale_grad_norm(q: QuantizerState, n_elements: int) -> float:
@@ -139,11 +165,12 @@ def _scale_grad_norm(q: QuantizerState, n_elements: int) -> float:
 
 
 def quantize_backward(
-    w: np.ndarray, q: QuantizerState, g_out: np.ndarray
+    rounding: Rounding, q: QuantizerState, g_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Straight-through gradients of the fake-quantize forward.
 
-    With z = w / s and r = round(z):
+    ``rounding`` is what ``round_to_grid`` returned for this forward, so
+    nothing is rounded again.  With z = w / s and r = round(z):
       in range (u <= r <= v):  d/dw = 1,  per-element d/ds = r - z
       below range (r < u):     d/dw = 0,  per-element d/ds = u
       above range (r > v):     d/dw = 0,  per-element d/ds = v
@@ -151,13 +178,10 @@ def quantize_backward(
     (per channel for per-channel scales) and applies the learned-step-size
     normalization 1 / sqrt(N * max(v, 1)).
     """
-    w = np.asarray(w, dtype=np.float64)
+    z, r = rounding.z, rounding.r
     g_out = np.asarray(g_out, dtype=np.float64)
-    if g_out.shape != w.shape:
-        raise ValueError(f"upstream gradient shape {g_out.shape} != value shape {w.shape}")
-    s = q.broadcast_scale(w)
-    z = w / s
-    r = round_half_away(z)
+    if g_out.shape != z.shape:
+        raise ValueError(f"upstream gradient shape {g_out.shape} != value shape {z.shape}")
     below = r < q.u
     above = r > q.v
     in_range = ~(below | above)
@@ -169,10 +193,10 @@ def quantize_backward(
     contrib = np.where(above, float(q.v), contrib)
     weighted = contrib * g_out
     if q.granularity == PER_TENSOR:
-        g_s = np.asarray(weighted.sum() * _scale_grad_norm(q, w.size))
+        g_s = np.asarray(weighted.sum() * _scale_grad_norm(q, z.size))
     else:
-        reduce_axes = tuple(ax for ax in range(w.ndim) if ax != q.axis)
-        per_channel_n = w.size // w.shape[q.axis]
+        reduce_axes = tuple(ax for ax in range(z.ndim) if ax != q.axis)
+        per_channel_n = z.size // z.shape[q.axis]
         g_s = weighted.sum(axis=reduce_axes) * _scale_grad_norm(q, per_channel_n)
     return g_w, g_s
 

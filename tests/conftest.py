@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+
+from qatlab import quantizer
 
 
 def pytest_collection_modifyitems(items):
@@ -7,3 +10,18 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if "trend_runs" in getattr(item, "fixturenames", ()):
             item.add_marker(pytest.mark.slow)
+
+
+@pytest.fixture
+def rounding_calls(monkeypatch):
+    """The shapes of the arrays passed to quantizer.round_half_away, one
+    entry per call, from the start of the test on."""
+    calls = []
+    original = quantizer.round_half_away
+
+    def counting(z):
+        calls.append(np.shape(z))
+        return original(z)
+
+    monkeypatch.setattr(quantizer, "round_half_away", counting)
+    return calls

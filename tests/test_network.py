@@ -19,8 +19,9 @@ from qatlab.network import (
     make_bn,
 )
 from qatlab.network import _bn_backward, _bn_forward, _nonlin, _nonlin_grad
-from qatlab.numeric import Rng, finite_diff
-from qatlab.quantizer import QuantizerState, init_scale, quantize, quantize_backward
+from qatlab.numeric import Rng
+from qatlab.quantizer import QuantizerState, init_scale, quantize, quantize_backward, round_to_grid
+from qatlab.training import attach_quantizers
 
 
 def per_tensor(s, bits=4, signed=True):
@@ -120,12 +121,14 @@ def reference_conv_pass(net, x, loss_grad, mode):
         d_a = batch_major_col2im(dcols, a_used.shape, layer.stride, layer.pad)
         if quantized and layer.w_quant:
             grads[f"{p}.weight"], grads[f"{p}.w_scale"] = quantize_backward(
-                layer.weight, layer.w_quant, d_w
+                round_to_grid(layer.weight, layer.w_quant)[2], layer.w_quant, d_w
             )
         else:
             grads[f"{p}.weight"] = d_w
         if quantized and layer.a_quant:
-            d, grads[f"{p}.a_scale"] = quantize_backward(a_in, layer.a_quant, d_a)
+            d, grads[f"{p}.a_scale"] = quantize_backward(
+                round_to_grid(a_in, layer.a_quant)[2], layer.a_quant, d_a
+            )
         else:
             d = d_a
     return a, grads
@@ -405,9 +408,9 @@ class TestBackward:
         grads = backward(net, cache, g_out)
 
         d_qw = g_out.T @ quantize(x, aq)
-        g_w, g_sw = quantize_backward(w, wq, d_qw)
+        g_w, g_sw = quantize_backward(round_to_grid(w, wq)[2], wq, d_qw)
         d_aq = g_out @ quantize(w, wq)
-        g_a, g_sa = quantize_backward(x, aq, d_aq)
+        g_a, g_sa = quantize_backward(round_to_grid(x, aq)[2], aq, d_aq)
         np.testing.assert_allclose(grads["layer0.weight"], g_w, atol=1e-14)
         np.testing.assert_allclose(grads["layer0.w_scale"], g_sw, atol=1e-14)
         np.testing.assert_allclose(grads["layer0.a_scale"], g_sa, atol=1e-14)
@@ -435,6 +438,21 @@ class TestBackward:
                 assert set(part) == wanted
                 for name in wanted:
                     assert np.array_equal(part[name], full[name]), name
+
+    def test_training_step_rounds_each_quantizer_once(self, rounding_calls):
+        # The forward rounds every weight and activation quantizer's input
+        # once and keeps it; the straight-through backward rounds nothing.
+        rng = Rng(16)
+        x = rng.normal((8, 1, 4, 4))
+        net = attach_quantizers(build_cnn(rng=rng), x, bits_w=3, bits_a=3)
+        rounding_calls.clear()
+        out, cache = forward(net, x, "quantized", cache=True, update_running=True)
+        expected = []
+        for layer, ctx in zip(net.layers, cache["layers"]):
+            expected += [ctx["a_in"].shape, layer.weight.shape]
+        assert rounding_calls == expected and len(expected) == 10
+        backward(net, cache, loss_and_grad(net.loss, out, rng.integers(0, 3, (8,)))[1])
+        assert len(rounding_calls) == 10
 
     def test_duplicated_rows_leave_gradient_unchanged(self):
         rng = Rng(14)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qatlab.numeric import Rng, finite_diff
+from gradient_oracle import finite_diff
+from qatlab.numeric import Rng
 
 
 class TestFiniteDiff:

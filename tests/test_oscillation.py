@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qatlab.ema import EMAState, ema_update
 from qatlab.numeric import Rng
 from qatlab.oscillation import (
+    DIVERGENCE_LIMIT,
     BoundaryHistogram,
     OscillationTracker,
     ToyProblem,
@@ -12,7 +14,14 @@ from qatlab.oscillation import (
     run_toy,
     toy_objective,
 )
-from qatlab.quantizer import QuantizerState
+from qatlab.quantizer import (
+    SCALE_FLOOR,
+    QuantizerState,
+    integer_code,
+    quantize,
+    quantize_backward,
+    round_to_grid,
+)
 
 
 def qw(s, bits=1):
@@ -21,6 +30,77 @@ def qw(s, bits=1):
 
 def qx(s, bits=1):
     return QuantizerState(s=np.asarray(float(s)), bits=bits, signed=False)
+
+
+def reference_run_toy(p, use_ema, rng):
+    """The toy loop written with one quantize call per use: each step
+    quantizes w three times and x twice, takes w's codes with integer_code,
+    rebuilds both quantizers after the update, and rounds each input again
+    for the STE backward.  The reference for bit identity: run_toy must
+    equal it exactly."""
+
+    def residual(w, q_w, q_x, x):
+        qx, qw = quantize(x, q_x), quantize(w, q_w)
+        return x[:, None] * p.w_star[None, :] - qx[:, None] * qw[None, :]
+
+    def ste(v, q, g):
+        return quantize_backward(round_to_grid(v, q)[2], q, g)
+
+    q_w = QuantizerState(s=np.asarray(float(p.s_w0)), bits=p.bits_w, signed=True)
+    q_x = QuantizerState(s=np.asarray(float(p.s_x0)), bits=p.bits_x, signed=False)
+    w = p.w_star.copy()
+    tracker = OscillationTracker(window=max(p.steps, 2))
+    ema = EMAState(alpha=p.ema_alpha, warmup_iters=int(p.ema_warmup_frac * p.steps))
+    keys = ("w", "q_w", "s_w", "s_x", "loss", "codes")
+    if use_ema:
+        keys += ("ema_w", "ema_s_w", "ema_s_x", "ema_codes")
+    rows = {k: [] for k in keys}
+    for step in range(p.steps):
+        x = rng.uniform((p.batch_size,), p.x_lo, p.x_hi)
+        e = residual(w, q_w, q_x, x)
+        loss = float(np.mean(np.sqrt(np.sum(e * e, axis=1))))
+        assert np.isfinite(loss) and loss <= DIVERGENCE_LIMIT
+        codes = integer_code(w, q_w)
+        record_step(tracker, codes)
+        rows["w"].append(w.copy())
+        rows["q_w"].append(quantize(w, q_w))
+        rows["s_w"].append(float(q_w.s))
+        rows["s_x"].append(float(q_x.s))
+        rows["loss"].append(loss)
+        rows["codes"].append(codes)
+        if use_ema:
+            sh_w = ema.shadows.get("w", w)
+            sh_sw = float(ema.shadows.get("s_w", q_w.s))
+            sh_sx = float(ema.shadows.get("s_x", q_x.s))
+            sh_q = QuantizerState(s=np.asarray(sh_sw), bits=p.bits_w, signed=True)
+            rows["ema_w"].append(np.asarray(sh_w).copy())
+            rows["ema_s_w"].append(sh_sw)
+            rows["ema_s_x"].append(sh_sx)
+            rows["ema_codes"].append(integer_code(sh_w, sh_q))
+        qx = quantize(x, q_x)
+        g_w, g_sw = ste(w, q_w, -2.0 / x.size * (qx @ e))
+        _, g_sx = ste(x, q_x, -2.0 / x.size * (e @ quantize(w, q_w)))
+        w = w - p.lr * g_w
+        q_w = QuantizerState(
+            s=np.maximum(q_w.s - p.lr * g_sw, SCALE_FLOOR), bits=p.bits_w, signed=True
+        )
+        q_x = QuantizerState(
+            s=np.maximum(q_x.s - p.lr * g_sx, SCALE_FLOOR), bits=p.bits_x, signed=False
+        )
+        if use_ema:
+            ema_update(ema, {"w": w, "s_w": q_w.s, "s_x": q_x.s})
+    trace = {k: np.asarray(v) for k, v in rows.items()}
+    eval_x = rng.child("toy_eval").uniform((4096,), p.x_lo, p.x_hi)
+    trace["final_eval_loss"] = toy_objective(w, q_w, q_x, eval_x, p.w_star)
+    if use_ema:
+        sh_q_w = QuantizerState(s=np.asarray(float(ema.shadows["s_w"])), bits=p.bits_w)
+        sh_q_x = QuantizerState(
+            s=np.asarray(float(ema.shadows["s_x"])), bits=p.bits_x, signed=False
+        )
+        trace["final_eval_loss_ema"] = toy_objective(
+            ema.shadows["w"], sh_q_w, sh_q_x, eval_x, p.w_star
+        )
+    return trace, tracker
 
 
 def windowed_recount(stream, window):
@@ -195,6 +275,26 @@ class TestRunToy:
         trace, tracker = run_toy(p, rng=Rng(0))
         freq = flip_frequency(tracker)
         assert (freq > 0.05).any()
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("use_ema", [True, False])
+    def test_bit_identical_to_reference_loop(self, seed, use_ema):
+        p = ToyProblem(steps=300)
+        trace, tracker = run_toy(p, use_ema=use_ema, rng=Rng(seed))
+        ref, ref_tracker = reference_run_toy(p, use_ema, Rng(seed))
+        assert trace.keys() == ref.keys()
+        for key in ref:
+            assert np.array_equal(trace[key], ref[key]), key
+        assert np.array_equal(tracker.flip_counts, ref_tracker.flip_counts)
+
+    @pytest.mark.parametrize("use_ema,per_step", [(True, 3), (False, 2)])
+    def test_one_rounding_per_quantizer_per_step(self, rounding_calls, use_ema, per_step):
+        # Rounds x and w once per step, plus the EMA shadow codes; the
+        # difference of a 2-step and a 1-step run leaves out the final eval.
+        run_toy(ToyProblem(steps=1), use_ema=use_ema, rng=Rng(0))
+        one = len(rounding_calls)
+        run_toy(ToyProblem(steps=2), use_ema=use_ema, rng=Rng(0))
+        assert len(rounding_calls) - one - one == per_step
 
     def test_requires_rng(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from qatlab.quantizer import (
     quantize,
     quantize_backward,
     round_half_away,
+    round_to_grid,
     soft_round,
 )
 
@@ -41,7 +42,7 @@ def scale_contrib(w, q, g_out=None):
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
     if g_out is None:
         g_out = np.ones_like(w)
-    _, g_s = quantize_backward(w, q, g_out)
+    _, g_s = quantize_backward(round_to_grid(w, q)[2], q, g_out)
     norm = 1.0 / np.sqrt(w.size * max(q.v, 1))
     return g_s / norm
 
@@ -116,26 +117,26 @@ class TestQuantizeBackward:
     def test_in_range_contribution(self):
         # round(2.6) = 3 in range: STE weight grad 1, scale contribution 3 - 2.6.
         w = np.array([0.26])
-        g_w, g_s = quantize_backward(w, qs(0.1), np.array([1.0]))
+        g_w, g_s = quantize_backward(round_to_grid(w, qs(0.1))[2], qs(0.1), np.array([1.0]))
         assert g_w[0] == 1.0
         assert scale_contrib(w, qs(0.1))[()] == pytest.approx(0.4, abs=1e-12)
 
     def test_clipped_contribution(self):
         w = np.array([100.0])
-        g_w, _ = quantize_backward(w, qs(0.1), np.array([1.0]))
+        g_w, _ = quantize_backward(round_to_grid(w, qs(0.1))[2], qs(0.1), np.array([1.0]))
         assert g_w[0] == 0.0
         assert scale_contrib(w, qs(0.1))[()] == pytest.approx(7.0)
         assert scale_contrib(np.array([-100.0]), qs(0.1))[()] == pytest.approx(-8.0)
 
     def test_zero_upstream(self):
         w = Rng(3).uniform((8,), -1.0, 1.0)
-        g_w, g_s = quantize_backward(w, qs(0.1), np.zeros(8))
+        g_w, g_s = quantize_backward(round_to_grid(w, qs(0.1))[2], qs(0.1), np.zeros(8))
         assert not g_w.any()
         assert float(g_s) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            quantize_backward(np.zeros(3), qs(0.1), np.zeros(4))
+            quantize_backward(round_to_grid(np.zeros(3), qs(0.1))[2], qs(0.1), np.zeros(4))
 
     def test_scale_grad_matches_joint_path_finite_diff(self):
         # The straight-through backward reports a (w, s) gradient pair whose
@@ -185,7 +186,7 @@ class TestQuantizeBackward:
         s = np.array([0.1, 0.2, 0.3])
         q = QuantizerState(s=s, bits=4, signed=True, granularity=PER_CHANNEL, axis=0)
         w = Rng(11).uniform((3, 5), -1.0, 1.0)
-        g_w, g_s = quantize_backward(w, q, np.ones_like(w))
+        g_w, g_s = quantize_backward(round_to_grid(w, q)[2], q, np.ones_like(w))
         assert g_w.shape == w.shape
         assert g_s.shape == (3,)
         # Channel sums must match per-tensor backward run channel by channel.
@@ -235,6 +236,21 @@ class TestIntegerCode:
 
     def test_clip(self):
         assert integer_code(np.array(-5.0), qs(0.1)) == -8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # Like quantize: no int64 code stands for NaN or an infinity.
+        with pytest.raises(ValueError, match="non-finite"):
+            integer_code(np.array([0.26, bad]), qs(0.1))
+
+    def test_round_to_grid_is_quantize_and_code(self):
+        q = qs(0.09, bits=3)
+        w = Rng(5).uniform((256,), -1.0, 1.0)
+        value, code, rounding = round_to_grid(w, q)
+        np.testing.assert_array_equal(value, quantize(w, q))
+        np.testing.assert_array_equal(code.astype(np.int64), integer_code(w, q))
+        np.testing.assert_array_equal(rounding.z, w / 0.09)
+        np.testing.assert_array_equal(rounding.r, round_half_away(w / 0.09))
 
     def test_code_of_quantized_equals_code_of_raw(self):
         rng = Rng(21)
