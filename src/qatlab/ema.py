@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .flat import FlatLayout
+
 
 @dataclass
 class EMAState:
@@ -18,6 +20,12 @@ class EMAState:
     warmup_iters: int = 0
     iter: int = 0
     shadows: dict = field(default_factory=dict)
+    _flat: "_FlatShadows" = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # A copy or an unpickled state lays its flat buffers out afresh:
+        # views into a buffer come back from a copy as arrays of their own.
+        return {**self.__dict__, "_flat": None}
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -30,32 +38,82 @@ class EMAState:
         return 0.0 if self.iter < self.warmup_iters else self.alpha
 
 
+class _FlatShadows:
+    """Shadows laid out in one flat buffer, plus a scratch buffer of the
+    same layout for ``(1 - a) * live``.  The scratch lives with the state,
+    so an update allocates nothing: on a one-entry dict an allocation per
+    call would cost more than the update."""
+
+    def __init__(self, shadows: dict):
+        layout = FlatLayout(shadows)
+        self.flat = layout.gather(shadows)
+        self.scaled = np.empty(layout.size)
+        self.views = layout.views(self.flat)
+        scaled_views = layout.views(self.scaled).values()
+        self.entries = tuple(zip(self.views, self.views.values(), scaled_views))
+
+    def scale_live(self, shadows: dict, live: dict, b: float) -> bool:
+        """Write ``b * live`` into the scratch buffer, if ``live`` has
+        exactly this layout's names and shapes and each of those shadows is
+        still this buffer's view; return whether it did."""
+        if len(live) != len(self.entries):
+            return False
+        try:
+            for name, view, scaled in self.entries:
+                p = live[name]
+                if shadows.get(name) is not view or p.shape != view.shape:
+                    return False
+                np.multiply(p, b, scaled)
+        except (KeyError, AttributeError):
+            return False
+        return True
+
+
 def ema_update(state: EMAState, live: dict) -> EMAState:
     """Fold one iteration's live parameters into the shadows.
 
     Call after every optimizer step.  The first call initializes the shadow
     set; later calls must present the same parameter names and shapes.
     During warmup the shadow is a plain copy, so it tracks live bit for bit.
+
+    The shadows of the names in ``live`` are views into one flat buffer,
+    updated in place as ``sh *= a; sh += (1 - a) * p``, which rounds
+    exactly like ``a * sh + (1 - a) * p``; with ``a = 0`` the shadow
+    becomes ``1 * p``, which is p.  A shadow that a caller sets by hand is
+    read at the next call and laid out afresh with the others.
     """
     a = state.effective_alpha
+    flat = state._flat
+    if flat is None or not flat.scale_live(state.shadows, live, 1.0 - a):
+        state._flat = _FlatShadows(_updated_by_name(state, live, a))
+        state.shadows.update(state._flat.views)
+    elif a == 0.0:
+        np.copyto(flat.flat, flat.scaled)
+    else:
+        np.multiply(flat.flat, a, flat.flat)
+        np.add(flat.flat, flat.scaled, flat.flat)
+    state.iter += 1
+    return state
+
+
+def _updated_by_name(state: EMAState, live: dict, a: float) -> dict:
+    """The shadows of the names in ``live`` after this update, computed
+    name by name; a name's first value is its live value."""
+    updated = {}
     for name, p in live.items():
         p = np.asarray(p)
         sh = state.shadows.get(name)
         if sh is None:
             if state.iter > 0:
                 raise RuntimeError(f"parameter {name!r} appeared mid-run")
-            state.shadows[name] = p.copy()
-            continue
-        if sh.shape != p.shape:
+            updated[name] = p
+        elif sh.shape != p.shape:
             raise RuntimeError(
                 f"shadow shape {sh.shape} does not match live {p.shape} for {name!r}"
             )
-        if a == 0.0:
-            state.shadows[name] = p.copy()
         else:
-            state.shadows[name] = a * sh + (1.0 - a) * p
-    state.iter += 1
-    return state
+            updated[name] = p if a == 0.0 else a * sh + (1.0 - a) * p
+    return updated
 
 
 def materialize_ema(net, state: EMAState):

@@ -213,26 +213,40 @@ class NetworkSpec:
         return out
 
 
-def silu(h):
-    sig = 1.0 / (1.0 + np.exp(-h))
-    return h * sig
+def _sigmoid(h):
+    return 1.0 / (1.0 + np.exp(-h))
 
 
 def _nonlin(h, kind):
     if kind == "relu":
         return np.maximum(h, 0.0)
     if kind == "silu":
-        return silu(h)
+        return h * _sigmoid(h)
     return h
 
 
-def _nonlin_grad(h, kind):
+def _nonlin_grad(h, kind, sig=None):
+    """Derivative of the nonlinearity at h.  For silu, ``sig`` is the
+    sigmoid of h if the caller has it, and is computed when None."""
     if kind == "relu":
         return (h > 0.0).astype(np.float64)
     if kind == "silu":
-        sig = 1.0 / (1.0 + np.exp(-h))
-        return sig * (1.0 + h * (1.0 - sig))
+        if sig is None:
+            sig = _sigmoid(h)
+        grad = 1.0 - sig  # sig * (1 + h * (1 - sig)), built in place
+        grad *= h
+        grad += 1.0
+        grad *= sig
+        return grad
     return np.ones_like(h)
+
+
+def _activate(h, kind, grad: bool):
+    """The nonlinearity at h and, with ``grad``, its derivative at h (else
+    None).  Silu computes its sigmoid once for both."""
+    sig = _sigmoid(h) if kind == "silu" else None
+    out = _nonlin(h, kind) if sig is None else h * sig
+    return out, _nonlin_grad(h, kind, sig) if grad else None
 
 
 def im2col(x, kh, kw, stride, pad):
@@ -296,10 +310,13 @@ def _bn_forward(bn: BNParams, h, update_running: bool):
     shape = [1] * h.ndim
     shape[1] = bn.channels
     if bn.mode == "train":
+        # The variance reduces the centered batch as np.var does, bit for
+        # bit, and the centered batch becomes x_hat.
+        n = h.size // bn.channels
         mean = h.mean(axis=axes)
-        var = h.var(axis=axes)
+        centered = h - mean.reshape(shape)
+        var = np.square(centered).sum(axis=axes) / n
         if update_running:
-            n = h.size // bn.channels
             unbiased = var * (n / (n - 1)) if n > 1 else var
             bn.running_mean[...] = (
                 1.0 - bn.momentum
@@ -308,10 +325,11 @@ def _bn_forward(bn: BNParams, h, update_running: bool):
                 1.0 - bn.momentum
             ) * bn.running_var + bn.momentum * unbiased
     else:
-        mean = bn.running_mean
+        centered = h - bn.running_mean.reshape(shape)
         var = bn.running_var
     std = np.sqrt(var + bn.eps)
-    x_hat = (h - mean.reshape(shape)) / std.reshape(shape)
+    x_hat = centered
+    x_hat /= std.reshape(shape)
     out = bn.gain.reshape(shape) * x_hat + bn.bias.reshape(shape)
     return out, {"x_hat": x_hat, "std": std, "axes": axes, "shape": shape}
 
@@ -371,7 +389,7 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
         bn_ctx = None
         if layer.bn is not None:
             h, bn_ctx = _bn_forward(layer.bn, h, update_running)
-        out = _nonlin(h, layer.nonlinearity)
+        out, nonlin_grad = _activate(h, layer.nonlinearity, grad=cache)
         if cache:
             caches.append(
                 {
@@ -383,7 +401,7 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
                     "w_round": w_round,
                     "cols": cols,
                     "h_lin": h_lin,
-                    "phi_in": h,
+                    "nonlin_grad": nonlin_grad,
                     "bn_ctx": bn_ctx,
                 }
             )
@@ -428,7 +446,7 @@ def backward(net: NetworkSpec, cache, loss_grad, wanted=None):
         quant_w = layer.w_quant is not None and quantized
         quant_a = layer.a_quant is not None and quantized
         need_w = f"{p}.weight" in grads or (quant_w and f"{p}.w_scale" in grads)
-        d = d * _nonlin_grad(ctx["phi_in"], layer.nonlinearity)
+        d = d * ctx["nonlin_grad"]
         if layer.bn is not None:
             bn_grads = f"{p}.bn.gain" in grads or f"{p}.bn.bias" in grads
             d, dgain, dbias = _bn_backward(layer.bn, ctx["bn_ctx"], d, bn_grads)
@@ -506,8 +524,7 @@ def dampening_penalty(net: NetworkSpec, lam: float):
             continue
         q = layer.w_quant
         w_q, _, rounding = round_to_grid(layer.weight, q)
-        in_range = (rounding.r >= q.u) & (rounding.r <= q.v)
-        diff = (w_q - layer.weight) * in_range
+        diff = (w_q - layer.weight) * rounding.in_range
         penalty += lam * float((diff * diff).sum())
         grads[f"layer{i}.weight"] = 2.0 * lam * -diff
     return penalty, grads

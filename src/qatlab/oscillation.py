@@ -21,7 +21,6 @@ from .quantizer import (
     integer_code,
     quantize,
     quantize_backward,
-    round_half_away,
     round_to_grid,
 )
 
@@ -129,14 +128,14 @@ def boundary_histogram(w, q: QuantizerState, bins: int) -> BoundaryHistogram:
     """Bin in-range latents by distance-to-threshold d = |frac(w/s) - 0.5|.
 
     d = 0 means the latent sits exactly on a rounding threshold, d = 0.5
-    exactly on a quantization level.
+    exactly on a quantization level.  Non-finite input is rejected, as by
+    the quantizer.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    z = np.asarray(w, dtype=np.float64) / q.broadcast_scale(np.asarray(w))
-    r = round_half_away(z)
-    in_range = (r >= q.u) & (r <= q.v)
-    d = np.abs((z[in_range] - np.floor(z[in_range])) - 0.5)
+    rounding = round_to_grid(w, q)[2]
+    z = rounding.z[rounding.in_range]
+    d = np.abs((z - np.floor(z)) - 0.5)
     counts, edges = np.histogram(d, bins=bins, range=(0.0, 0.5))
     return BoundaryHistogram(counts=counts, edges=edges, bin_count=bins)
 

@@ -2,8 +2,8 @@
 
 Forward pass maps a tensor onto the uniform grid ``s * clip(round(w / s), u, v)``.
 The fake-quantize forward rounds in one place, ``round_to_grid``: it
-computes ``z = w / s`` and ``r = round(z)`` once and returns them as a
-``Rounding`` beside the fake-quantized value and the integer code.  The
+computes ``z = w / s``, ``r = round(z)`` and the clipped code once and
+returns them as a ``Rounding`` beside the fake-quantized value.  The
 backward pass takes that rounding from the forward instead of rounding
 again; it treats the rounding operator as identity inside the clip range
 (straight-through) and produces the learned-step-size gradient for the
@@ -123,29 +123,36 @@ class SoftRoundConfig:
 
 
 class Rounding(NamedTuple):
-    """``z = w / s`` and ``r = round_half_away(z)`` from one rounding of w
-    onto a quantizer's grid, kept for the straight-through backward."""
+    """``z = w / s``, ``r = round_half_away(z)`` and ``code = clip(r, u, v)``
+    from one rounding of w onto a quantizer's grid, kept for the
+    straight-through backward."""
 
     z: np.ndarray
     r: np.ndarray
+    code: np.ndarray
+
+    @property
+    def in_range(self) -> np.ndarray:
+        """Where the rounded value lies in the grid range, unclipped."""
+        return self.code == self.r
 
 
 def round_to_grid(
     w: np.ndarray, q: QuantizerState
 ) -> tuple[np.ndarray, np.ndarray, Rounding]:
-    """Fake-quantize w: returns ``(s * code, code, Rounding(z, r))``, where
-    ``code = clip(r, u, v)`` is the integer grid index as float64.
+    """Fake-quantize w: returns ``(s * code, code, Rounding(z, r, code))``,
+    where ``code = clip(r, u, v)`` is the integer grid index as float64.
 
     Rejects non-finite input, which has no grid code.
     """
     w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("quantizer rejects non-finite input")
     s = q.broadcast_scale(w)
     z = w / s
     r = round_half_away(z)
     code = np.clip(r, q.u, q.v)
-    return s * code, code, Rounding(z, r)
+    return s * code, code, Rounding(z, r, code)
 
 
 def quantize(w: np.ndarray, q: QuantizerState) -> np.ndarray:
@@ -178,19 +185,14 @@ def quantize_backward(
     (per channel for per-channel scales) and applies the learned-step-size
     normalization 1 / sqrt(N * max(v, 1)).
     """
-    z, r = rounding.z, rounding.r
+    z, r, code = rounding
     g_out = np.asarray(g_out, dtype=np.float64)
     if g_out.shape != z.shape:
         raise ValueError(f"upstream gradient shape {g_out.shape} != value shape {z.shape}")
-    below = r < q.u
-    above = r > q.v
-    in_range = ~(below | above)
-
+    in_range = rounding.in_range
     g_w = g_out * in_range
-
-    contrib = np.where(in_range, r - z, 0.0)
-    contrib = np.where(below, float(q.u), contrib)
-    contrib = np.where(above, float(q.v), contrib)
+    # Below the range code is u and above it v: the per-element d/ds.
+    contrib = np.where(in_range, r - z, code)
     weighted = contrib * g_out
     if q.granularity == PER_TENSOR:
         g_s = np.asarray(weighted.sum() * _scale_grad_norm(q, z.size))

@@ -6,7 +6,8 @@ import numpy as np
 
 from .datasets import batches
 from .ema import EMAState, ema_update, materialize_ema
-from .network import backward, dampening_penalty, forward, loss_and_grad
+from .flat import FlatLayout
+from .network import DENSE, NetworkSpec, backward, dampening_penalty, forward, loss_and_grad
 from .numeric import Rng
 from .oscillation import DIVERGENCE_LIMIT, OscillationTracker, record_step
 from .quantizer import SCALE_FLOOR, init_scale, integer_code
@@ -21,12 +22,60 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    _flat: "_FlatMoments" = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # A copy or an unpickled state lays its flat buffers out afresh:
+        # views into a buffer come back from a copy as arrays of their own.
+        return {**self.__dict__, "_flat": None}
 
     def __post_init__(self):
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
         if self.lr <= 0.0 or self.eps <= 0.0:
             raise ValueError("lr and eps must be positive")
+
+
+class _FlatMoments:
+    """Adam's moments for one set of parameter names, each moment one flat
+    buffer laid out by name."""
+
+    def __init__(self, state: AdamState, params: dict):
+        self.layout = layout = FlatLayout(params)
+        for name, p in params.items():
+            if name not in state.m:
+                state.m[name] = np.zeros_like(p)
+                state.v[name] = np.zeros_like(p)
+        if not (layout.fits(state.m) and layout.fits(state.v)):
+            raise ValueError("Adam moments do not match the parameter shapes")
+        self.m = layout.gather(state.m)
+        self.v = layout.gather(state.v)
+        self.m_views = layout.views(self.m)
+        self.v_views = layout.views(self.v)
+        state.m.update(self.m_views)
+        state.v.update(self.v_views)
+        self.scales = [name for name in layout.names if name.endswith("_scale")]
+
+    def holds(self, state: AdamState, params: dict) -> bool:
+        """Whether ``params`` has exactly this layout's names and shapes and
+        the state's moments of those names are still these buffers' views."""
+        if len(params) != len(self.m_views) or not self.layout.fits(params):
+            return False
+        for name, m in self.m_views.items():
+            if state.m.get(name) is not m or state.v.get(name) is not self.v_views[name]:
+                return False
+        return True
+
+
+def _check_grads(params: dict, grads: dict):
+    """Raise for the first parameter, in order, whose gradient is not
+    finite or does not have the parameter's shape."""
+    for name, p in params.items():
+        g = np.asarray(grads[name], dtype=np.float64)
+        if not np.isfinite(g).all():
+            raise RuntimeError(f"non-finite gradient for {name}")
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
 
 
 def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
@@ -36,31 +85,44 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
     trains that subset and freezes everything else.  Parameters whose name
     ends in ``_scale`` are clamped to the positive scale floor after the
     update.
+
+    The moments of the names in ``params`` are views into one flat buffer
+    each.  The gradients are gathered into one flat array, every Adam term
+    is one pass over the flat arrays, and the update is scattered back into
+    the parameter arrays.  The arithmetic is per element the same as
+    ``m = b1 * m + (1 - b1) * g``, ``v = b2 * v + ((1 - b2) * g) * g`` and
+    ``p -= (lr * m_hat) / (sqrt(v_hat) + eps)``.
     """
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if not np.isfinite(g).all():
-            raise RuntimeError(f"non-finite gradient for {name}")
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
+    flat = state._flat
+    if flat is None or not flat.holds(state, params):
+        _check_grads(params, grads)
+        flat = state._flat = _FlatMoments(state, params)
+    if not flat.layout.fits(grads):
+        _check_grads(params, grads)
+    g = flat.layout.gather(grads)
+    if not np.isfinite(g).all():
+        _check_grads(params, grads)
     state.step += 1
     t = state.step
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        if name.endswith("_scale"):
-            np.maximum(p, SCALE_FLOOR, out=p)
+    m, v = flat.m, flat.v
+    m *= state.beta1
+    tmp = np.multiply(g, 1.0 - state.beta1)
+    m += tmp
+    v *= state.beta2
+    np.multiply(g, 1.0 - state.beta2, out=tmp)
+    tmp *= g
+    v += tmp
+    delta = np.divide(m, 1.0 - state.beta1**t, out=g)  # g is spent
+    delta *= state.lr
+    np.divide(v, 1.0 - state.beta2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    delta /= tmp
+    for name, d in flat.layout.views(delta).items():
+        p = params[name]
+        p -= d
+    for name in flat.scales:
+        np.maximum(params[name], SCALE_FLOOR, out=params[name])
     return params
 
 
@@ -93,8 +155,7 @@ def attach_quantizers(
     First and last layers run at ``first_last_bits``.
     """
     net = net.copy()
-    x_sample = shape_inputs(x_sample, net.input_shape)
-    _, cache = forward(net, x_sample, mode="latent", cache=True)
+    a_in = shape_inputs(x_sample, net.input_shape)
     last = len(net.layers) - 1
     axis = 0 if granularity == "per_channel" else None
     for i, layer in enumerate(net.layers):
@@ -103,9 +164,12 @@ def attach_quantizers(
         layer.w_quant = init_scale(
             layer.weight, bits=wb, signed=True, granularity=granularity, axis=axis
         )
-        a_in = cache["layers"][i]["a_in"]
+        if layer.kind == DENSE:
+            a_in = a_in.reshape(len(a_in), -1)
         signed = bool(a_in.min() < 0.0)
         layer.a_quant = init_scale(a_in, bits=ab, signed=signed, kind="activation")
+        # One layer at a time: the calibration pass keeps no forward cache.
+        a_in = forward(NetworkSpec([layer], a_in.shape[1:], net.loss), a_in, mode="latent")
     return net
 
 
@@ -180,6 +244,26 @@ def train_latent(net, dataset, epochs: int, batch: int = 32, lr: float = 1e-3, s
     return net
 
 
+def _qat_step(net, opt: AdamState, emas, x, y, cfg: TrainConfig, epoch: int) -> float:
+    """One optimizer step of ``train_qat`` on the batch (x, y), then one
+    update of every EMA state in ``emas``; returns the batch loss.  The
+    step's forward cache and gradients are freed when it returns."""
+    out, cache = forward(net, x, mode="quantized", cache=True, update_running=True)
+    loss, g = loss_and_grad(net.loss, out, y)
+    grads = backward(net, cache, g)
+    if cfg.dampening_lambda > 0.0:
+        penalty, pgrads = dampening_penalty(net, cfg.dampening_lambda)
+        loss += penalty
+        for name, pg in pgrads.items():
+            grads[name] = grads[name] + pg
+    if not np.isfinite(loss) or loss > cfg.divergence_limit:
+        raise RuntimeError(f"training diverged at epoch {epoch} (loss={loss})")
+    adam_step(opt, net.parameters(), grads)
+    for ema in emas:
+        ema_update(ema, net.parameters())
+    return loss
+
+
 def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
     """Quantization-aware training, in place on ``net``.
 
@@ -217,23 +301,8 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
     for epoch in range(cfg.epochs):
         epoch_loss, epoch_batches = 0.0, 0
         for idx in batches(len(x_all), cfg.batch, drop_last=True, rng=rng):
-            out, cache = forward(
-                net, x_all[idx], mode="quantized", cache=True, update_running=True
-            )
-            loss, g = loss_and_grad(net.loss, out, y_all[idx])
-            grads = backward(net, cache, g)
-            if cfg.dampening_lambda > 0.0:
-                penalty, pgrads = dampening_penalty(net, cfg.dampening_lambda)
-                loss += penalty
-                for name, pg in pgrads.items():
-                    grads[name] = grads[name] + pg
-            if not np.isfinite(loss) or loss > cfg.divergence_limit:
-                raise RuntimeError(f"training diverged at epoch {epoch} (loss={loss})")
-            epoch_loss += loss
+            epoch_loss += _qat_step(net, opt, emas.values(), x_all[idx], y_all[idx], cfg, epoch)
             epoch_batches += 1
-            adam_step(opt, net.parameters(), grads)
-            for ema in emas.values():
-                ema_update(ema, net.parameters())
             if qlayers:
                 record_step(tracker, _weight_codes(net, qlayers))
 

@@ -1,6 +1,10 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from kernel_reference import reference_ema_update
 from qatlab.ema import EMAState, ema_update, materialize_ema
 from qatlab.numeric import Rng
 
@@ -90,6 +94,89 @@ class TestEmaUpdate:
     def test_decay_validation(self):
         with pytest.raises(ValueError):
             EMAState(alpha=1.0)
+
+
+EMA_SHAPES = {"w": (4, 3), "b": (4,), "s": (), "gain": (2,)}
+
+
+def _assert_same_shadows(flat, ref):
+    assert flat.iter == ref.iter
+    assert sorted(flat.shadows) == sorted(ref.shadows)
+    for name, shadow in ref.shadows.items():
+        assert np.array_equal(flat.shadows[name], shadow), name
+
+
+class TestFlatEmaOracle:
+    """ema_update on one flat buffer equals the name-by-name reference."""
+
+    @pytest.mark.parametrize("alpha, warmup", [(0.0, 0), (0.9, 0), (0.999, 40), (0.5, 5000)])
+    def test_thousand_steps_bit_identical(self, alpha, warmup):
+        rng = Rng(int(alpha * 1000) + warmup)
+        flat, ref = EMAState(alpha, warmup), EMAState(alpha, warmup)
+        for st in (flat, ref):  # seeded by hand before the first update
+            st.shadows["b"] = np.arange(4.0)
+        live = {name: np.array(rng.normal(shape)) for name, shape in EMA_SHAPES.items()}
+        for step in range(1000):
+            # Live arrays change in place, as a net's parameters do; "s" is
+            # a new array every step, as the toy's weights are.
+            live["w"] += rng.normal((4, 3))
+            live["b"][...] = rng.normal((4,))
+            live["s"] = np.array(rng.uniform((), 0.1, 1.0))
+            live["gain"] *= 0.99
+            if step % 9 == 4:  # a subset leaves the other shadows alone
+                part = {k: live[k] for k in ("w", "s")}
+                ema_update(flat, part)
+                reference_ema_update(ref, part)
+            else:
+                ema_update(flat, live)
+                reference_ema_update(ref, live)
+            if step == 600:  # a shadow set by hand mid-run is taken up
+                flat.shadows["gain"] = np.array([5.0, -5.0])
+                ref.shadows["gain"] = np.array([5.0, -5.0])
+            _assert_same_shadows(flat, ref)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda st: pickle.loads(pickle.dumps(st))])
+    def test_copied_state_continues_like_the_original(self, clone):
+        rng = Rng(12)
+        flat, ref = EMAState(alpha=0.8), EMAState(alpha=0.8)
+        live = {"w": np.array(rng.normal((3, 2))), "s": np.array(0.5)}
+        for _ in range(3):
+            ema_update(flat, live)
+            reference_ema_update(ref, live)
+        flat = clone(flat)
+        for _ in range(3):
+            live["w"] += 1.0
+            ema_update(flat, live)
+            reference_ema_update(ref, live)
+            _assert_same_shadows(flat, ref)
+
+    def test_shadows_never_alias_live(self):
+        state = EMAState(alpha=0.0)
+        live = {"w": np.ones(3)}
+        for _ in range(3):
+            ema_update(state, live)
+        live["w"] += 1.0
+        np.testing.assert_array_equal(state.shadows["w"], np.ones(3))
+
+    def _running(self):
+        state = EMAState(alpha=0.9)
+        for _ in range(5):
+            ema_update(state, {"a": np.zeros((2, 3)), "b": np.zeros(4)})
+        return state
+
+    def test_new_name_mid_run_rejected(self):
+        with pytest.raises(RuntimeError, match="'c' appeared mid-run"):
+            ema_update(self._running(), {"a": np.zeros((2, 3)), "b": np.zeros(4), "c": np.zeros(1)})
+
+    def test_renamed_parameter_rejected(self):
+        with pytest.raises(RuntimeError, match="'c' appeared mid-run"):
+            ema_update(self._running(), {"a": np.zeros((2, 3)), "c": np.zeros(4)})
+
+    @pytest.mark.parametrize("shape", [(3, 2), (7,)])
+    def test_shape_change_mid_run_rejected(self, shape):
+        # (3, 2) has the size of (2, 3), so only the shape differs.
+        with pytest.raises(RuntimeError, match="does not match live"):
+            ema_update(self._running(), {"a": np.zeros(shape), "b": np.zeros(4)})
 
 
 class TestMaterialize:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kernel_reference import reference_bn_forward
 from qatlab.network import (
     CONV2D,
     DENSE,
@@ -278,6 +279,19 @@ class TestForward:
         np.testing.assert_allclose(
             fmix - f0, 0.3 * (fa - f0) + 0.7 * (fb - f0), atol=1e-12
         )
+
+    @pytest.mark.parametrize("shape", [(16, 5), (8, 5, 3, 3)])
+    def test_bn_train_variance_is_np_var(self, shape):
+        h = Rng(19).normal(shape) * 3.0 + 1.5
+        axes = (0,) if len(shape) == 2 else (0, 2, 3)
+        bn, ref_bn = make_bn(5), make_bn(5)
+        out, ctx = _bn_forward(bn, h, update_running=True)
+        ref_out, ref_ctx = reference_bn_forward(ref_bn, h, update_running=True)
+        assert np.array_equal(ctx["std"], np.sqrt(np.var(h, axis=axes) + bn.eps))
+        assert np.array_equal(ctx["x_hat"], ref_ctx["x_hat"])
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(bn.running_mean, ref_bn.running_mean)
+        assert np.array_equal(bn.running_var, ref_bn.running_var)
 
     def test_bn_running_stats_update(self):
         layer = dense_layer(np.eye(2), bn=make_bn(2, momentum=0.1))

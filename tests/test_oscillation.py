@@ -249,6 +249,14 @@ class TestBoundaryHistogram:
         with pytest.raises(ValueError):
             boundary_histogram(np.zeros(3), qw(1.0), bins=1)
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            boundary_histogram(np.array([0.1, np.nan, np.inf, 0.3]), qw(0.1, bits=4), 4)
+
+    def test_rounds_once_through_the_quantizer(self, rounding_calls):
+        boundary_histogram(np.zeros((3, 2)), qw(0.1, bits=4), bins=4)
+        assert rounding_calls == [(3, 2)]
+
 
 class TestRunToy:
     def test_already_optimal_never_flips(self):

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_reference import reference_quantize_backward
 from qatlab.numeric import Rng
 from qatlab.quantizer import (
     PER_CHANNEL,
@@ -55,6 +58,17 @@ class TestRounding:
     def test_half_away_from_zero(self, z, expect):
         assert round_half_away(np.float64(z)) == expect
 
+    def test_pinned_values_and_signed_zeros(self):
+        # sign(z) * floor(|z| + 0.5): -0.0 rounds to +0.0, and 0.5 - ulp
+        # rounds to 1 because |z| + 0.5 rounds up to 1.0 before the floor.
+        below_half = np.nextafter(0.5, 0.0)
+        z = np.array([0.0, -0.0, 0.5, -0.5, below_half, -below_half, 2.5, -2.5, 1e300])
+        r = round_half_away(z)
+        np.testing.assert_array_equal(r, [0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 3.0, -3.0, 1e300])
+        np.testing.assert_array_equal(
+            np.signbit(r), [False, False, False, True, False, True, False, True, False]
+        )
+
 
 class TestQuantize:
     def test_direct_arithmetic(self):
@@ -69,6 +83,21 @@ class TestQuantize:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             quantize(np.array([np.nan]), qs(0.1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_rejects_non_finite_anywhere(self, bad, pos):
+        w = np.array([0.1, -0.2, 0.3, -0.4, 0.5])
+        w[pos] = bad
+        with pytest.raises(ValueError, match="^quantizer rejects non-finite input$"):
+            round_to_grid(w, qs(0.1))
+
+    def test_accepts_values_whose_sum_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, code, _ = round_to_grid(np.array([1e308, 1e308]), qs(1.0, bits=4))
+        np.testing.assert_array_equal(code, [7.0, 7.0])
+        np.testing.assert_array_equal(value, [7.0, 7.0])
 
     def test_exhaustive_level_oracle(self):
         # 10^4 random (w, s, bits) points against brute-force nearest level.
@@ -194,6 +223,30 @@ class TestQuantizeBackward:
             lone = scale_contrib(w[c], qs(s[c]))
             norm = 1.0 / np.sqrt(5 * 7)
             assert g_s[c] == pytest.approx(float(lone) * norm)
+
+
+class TestQuantizeBackwardReference:
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("granularity", ["per_tensor", PER_CHANNEL])
+    def test_equals_three_where_reference(self, granularity, signed):
+        rng = Rng(31)
+        w = rng.uniform((6, 40), -3.0, 3.0)
+        if granularity == PER_CHANNEL:
+            q = QuantizerState(
+                s=rng.uniform((6,), 0.2, 0.5), bits=3, signed=signed,
+                granularity=PER_CHANNEL, axis=0,
+            )
+        else:
+            q = qs(0.3, bits=3, signed=signed)
+        g = rng.normal((6, 40))
+        rounding = round_to_grid(w, q)[2]
+        assert (rounding.r > q.v).any() and rounding.in_range.any()
+        assert not signed or (rounding.r < q.u).any()
+        got = quantize_backward(rounding, q, g)
+        want = reference_quantize_backward(rounding, q, g)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
 
 
 class TestSoftRound:

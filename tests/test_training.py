@@ -1,6 +1,18 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from kernel_reference import (
+    reference_adam_step,
+    reference_bn_forward,
+    reference_ema_update,
+    reference_nonlin_grad,
+    reference_quantize_backward,
+    reference_round_to_grid,
+)
+from qatlab import network, quantizer, training
 from qatlab.datasets import gen_classification, gen_regression
 from qatlab.ema import materialize_ema
 from qatlab.network import build_mlp, forward
@@ -84,6 +96,136 @@ class TestAdam:
             AdamState(beta1=1.0)
         with pytest.raises(ValueError):
             AdamState(lr=0.0)
+
+
+# Names and shapes of a small net's parameters: 0-d and per-channel scales,
+# which Adam clamps to the floor, among plain arrays.
+ADAM_SHAPES = {
+    "layer0.weight": (5, 3),
+    "layer0.bias": (5,),
+    "layer0.w_scale": (),
+    "layer0.a_scale": (),
+    "layer1.bn.gain": (4,),
+    "layer1.w_scale": (3,),
+    "layer1.qc_beta": (),
+}
+SUBSET = ("layer0.bias", "layer0.w_scale", "layer1.w_scale")
+
+
+def _random_params(rng):
+    return {
+        name: np.array(
+            rng.uniform(shape, 0.01, 0.2) if name.endswith("_scale") else rng.normal(shape)
+        )
+        for name, shape in ADAM_SHAPES.items()
+    }
+
+
+def _random_grads(rng):
+    # Scale gradients lean positive, so lr 0.05 drives the scales onto the
+    # floor, and the negative draws lift them off again.
+    return {
+        name: np.array(rng.normal(shape, mean=0.5 if name.endswith("_scale") else 0.0))
+        for name, shape in ADAM_SHAPES.items()
+    }
+
+
+def _assert_same_adam(flat, ref, flat_params, ref_params):
+    assert flat.step == ref.step
+    for got, want in ((flat_params, ref_params), (flat.m, ref.m), (flat.v, ref.v)):
+        assert list(got) == list(want)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+
+class TestFlatAdamOracle:
+    """adam_step on flat buffers equals the name-by-name reference."""
+
+    @pytest.mark.parametrize("seed, lr", [(0, 1e-3), (1, 0.05), (2, 0.3)])
+    def test_thousand_steps_bit_identical(self, seed, lr):
+        rng = Rng(seed)
+        start = _random_params(rng)
+        flat_params = {k: v.copy() for k, v in start.items()}
+        ref_params = {k: v.copy() for k, v in start.items()}
+        flat, ref = AdamState(lr=lr), AdamState(lr=lr)
+        floored = 0
+        for step in range(1000):
+            grads = _random_grads(rng)
+            if step % 7 == 3:  # train a subset; grads still carry every name
+                names = SUBSET
+            else:
+                names = ADAM_SHAPES
+            adam_step(flat, {n: flat_params[n] for n in names}, grads)
+            reference_adam_step(ref, {n: ref_params[n] for n in names}, grads)
+            if step == 600:  # a moment set by hand is taken up
+                seeded = rng.normal((5,))
+                flat.m["layer0.bias"] = seeded.copy()
+                ref.m["layer0.bias"] = seeded.copy()
+            _assert_same_adam(flat, ref, flat_params, ref_params)
+            floored += int((flat_params["layer1.w_scale"] == SCALE_FLOOR).sum())
+        assert lr < 0.05 or floored > 0
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda st: pickle.loads(pickle.dumps(st))])
+    def test_copied_state_continues_like_the_original(self, clone):
+        rng = Rng(5)
+        params = _random_params(rng)
+        ref_params = {k: v.copy() for k, v in params.items()}
+        flat, ref = AdamState(lr=0.01), AdamState(lr=0.01)
+        for step in range(6):
+            if step == 3:
+                flat = clone(flat)
+            grads = _random_grads(rng)
+            adam_step(flat, params, grads)
+            reference_adam_step(ref, ref_params, grads)
+            _assert_same_adam(flat, ref, params, ref_params)
+
+    def _trained(self, steps=10):
+        rng = Rng(9)
+        params, st = _random_params(rng), AdamState(lr=0.01)
+        for _ in range(steps):
+            adam_step(st, params, _random_grads(rng))
+        return rng, params, st
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["layer0.weight", "layer0.a_scale", "layer1.qc_beta"])
+    def test_non_finite_gradient_named_mid_run(self, bad, name):
+        rng, params, st = self._trained()
+        before = {k: v.copy() for k, v in params.items()}
+        grads = _random_grads(rng)
+        grads[name].reshape(-1)[-1] = bad
+        with pytest.raises(RuntimeError, match=f"non-finite gradient for {name}$"):
+            adam_step(st, params, grads)
+        assert st.step == 10
+        for k, v in params.items():
+            assert np.array_equal(v, before[k])
+
+    def test_overflowing_gradient_sum_is_finite(self):
+        params = {"w": np.zeros(2), "b": np.zeros(1)}
+        flat, ref = AdamState(lr=0.1), AdamState(lr=0.1)
+        ref_params = {k: v.copy() for k, v in params.items()}
+        grads = {"w": np.array([1e308, 1e308]), "b": np.array([1e308])}
+        with np.errstate(over="ignore"):  # g * g overflows in v
+            adam_step(flat, params, grads)
+            reference_adam_step(ref, ref_params, grads)
+        _assert_same_adam(flat, ref, params, ref_params)
+
+    def test_first_error_in_name_order(self):
+        # A shape error on an earlier name wins over a later non-finite one.
+        rng, params, st = self._trained()
+        grads = _random_grads(rng)
+        grads["layer0.bias"] = np.zeros(6)
+        grads["layer1.qc_beta"] = np.array(np.nan)
+        with pytest.raises(ValueError, match="layer0.bias"):
+            adam_step(st, params, grads)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (16,)])
+    def test_gradient_shape_mismatch_mid_run(self, shape):
+        # (3, 5) has the size of the (5, 3) weight, so only the shape differs.
+        rng, params, st = self._trained()
+        grads = _random_grads(rng)
+        grads["layer0.weight"] = rng.normal(shape)
+        with pytest.raises(ValueError, match="layer0.weight"):
+            adam_step(st, params, grads)
 
 
 class TestShapeInputs:
@@ -312,3 +454,38 @@ class TestTrainQat:
             TrainConfig(batch=0)
         with pytest.raises(ValueError):
             TrainConfig(dampening_lambda=-0.1)
+
+
+class TestLeanKernelsKeepBits:
+    @pytest.mark.parametrize("granularity", ["per_tensor", "per_channel"])
+    def test_train_qat_equals_reference_kernels(self, monkeypatch, granularity):
+        # Two epochs of quantized MLP training with two shadow sets, once as
+        # shipped and once through the name-by-name references.
+        d = gen_classification(seed=7, n=400, classes=3, dim=6)
+        net = build_mlp(6, 3, hidden=(10, 8), rng=Rng(7), loss="softmax_ce")
+        qnet = attach_quantizers(net, d.calib_x, bits_w=3, bits_a=3, granularity=granularity)
+        cfg = TrainConfig(epochs=2, batch=16, lr=0.01, seed=7, ema_warmup_frac=0.1)
+        alphas = [0.9, 0.99]
+        shipped = train_qat(qnet.copy(), d, cfg, ema_alphas=alphas)
+        monkeypatch.setattr(training, "adam_step", reference_adam_step)
+        monkeypatch.setattr(training, "ema_update", reference_ema_update)
+        monkeypatch.setattr(quantizer, "round_to_grid", reference_round_to_grid)
+        monkeypatch.setattr(network, "round_to_grid", reference_round_to_grid)
+        monkeypatch.setattr(network, "quantize_backward", reference_quantize_backward)
+        monkeypatch.setattr(network, "_bn_forward", reference_bn_forward)
+        monkeypatch.setattr(network, "_nonlin_grad", reference_nonlin_grad)
+        reference = train_qat(qnet.copy(), d, cfg, ema_alphas=alphas)
+
+        (net_a, emas_a, tracker_a, hist_a), (net_b, emas_b, tracker_b, hist_b) = shipped, reference
+        state_a, state_b = net_a.state_arrays(), net_b.state_arrays()
+        assert list(state_a) == list(state_b)
+        for name in state_b:  # weights, scales, BN parameters and statistics
+            assert np.array_equal(state_a[name], state_b[name]), name
+        for alpha in alphas:
+            assert emas_a[alpha].iter == emas_b[alpha].iter
+            assert sorted(emas_a[alpha].shadows) == sorted(emas_b[alpha].shadows)
+            for name, shadow in emas_b[alpha].shadows.items():
+                assert np.array_equal(emas_a[alpha].shadows[name], shadow), name
+        assert np.array_equal(tracker_a.flip_counts, tracker_b.flip_counts)
+        assert tracker_a.flip_counts.any()
+        assert hist_a == hist_b
