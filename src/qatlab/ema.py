@@ -79,15 +79,15 @@ def ema_update(state: EMAState, live: dict) -> EMAState:
     The shadows of the names in ``live`` are views into one flat buffer,
     updated in place as ``sh *= a; sh += (1 - a) * p``, which rounds
     exactly like ``a * sh + (1 - a) * p``; with ``a = 0`` the shadow
-    becomes ``1 * p``, which is p.  A shadow that a caller sets by hand is
-    read at the next call and laid out afresh with the others.
+    becomes ``1 * p``, which is p.  A shadow that a caller sets by hand, or
+    a new name set or shape, lays the buffer out afresh at the next call; a
+    name's first shadow is its live value.
     """
     a = state.effective_alpha
     flat = state._flat
     if flat is None or not flat.scale_live(state.shadows, live, 1.0 - a):
-        state._flat = _FlatShadows(_updated_by_name(state, live, a))
-        state.shadows.update(state._flat.views)
-    elif a == 0.0:
+        return _update_laid_out_afresh(state, live)
+    if a == 0.0:
         np.copyto(flat.flat, flat.scaled)
     else:
         np.multiply(flat.flat, a, flat.flat)
@@ -96,24 +96,38 @@ def ema_update(state: EMAState, live: dict) -> EMAState:
     return state
 
 
-def _updated_by_name(state: EMAState, live: dict, a: float) -> dict:
-    """The shadows of the names in ``live`` after this update, computed
-    name by name; a name's first value is its live value."""
-    updated = {}
+def _update_laid_out_afresh(state: EMAState, live: dict) -> EMAState:
+    """``ema_update`` through a buffer laid out afresh for the names and
+    shapes of ``live``: the laid-out call takes the in-place path, then
+    each name without a shadow gets its live value.  Kept apart from
+    ``ema_update``: with this body inline, the one-entry update measured
+    about 2% slower."""
+    live = {name: np.asarray(p) for name, p in live.items()}
+    fresh = _check_names(state, live)
+    seeds = {name: state.shadows.get(name, p) for name, p in live.items()}
+    state._flat = _FlatShadows(seeds)
+    state.shadows.update(state._flat.views)
+    ema_update(state, live)
+    for name in fresh:
+        np.copyto(state.shadows[name], live[name])
+    return state
+
+
+def _check_names(state: EMAState, live: dict) -> list:
+    """Raise if a name of ``live`` is new after the first call or its shadow
+    has another shape; return the names that have no shadow yet."""
+    fresh = []
     for name, p in live.items():
-        p = np.asarray(p)
         sh = state.shadows.get(name)
         if sh is None:
             if state.iter > 0:
                 raise RuntimeError(f"parameter {name!r} appeared mid-run")
-            updated[name] = p
+            fresh.append(name)
         elif sh.shape != p.shape:
             raise RuntimeError(
                 f"shadow shape {sh.shape} does not match live {p.shape} for {name!r}"
             )
-        else:
-            updated[name] = p if a == 0.0 else a * sh + (1.0 - a) * p
-    return updated
+    return fresh
 
 
 def materialize_ema(net, state: EMAState):

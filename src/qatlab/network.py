@@ -213,40 +213,22 @@ class NetworkSpec:
         return out
 
 
-def _sigmoid(h):
-    return 1.0 / (1.0 + np.exp(-h))
-
-
-def _nonlin(h, kind):
-    if kind == "relu":
-        return np.maximum(h, 0.0)
-    if kind == "silu":
-        return h * _sigmoid(h)
-    return h
-
-
-def _nonlin_grad(h, kind, sig=None):
-    """Derivative of the nonlinearity at h.  For silu, ``sig`` is the
-    sigmoid of h if the caller has it, and is computed when None."""
-    if kind == "relu":
-        return (h > 0.0).astype(np.float64)
-    if kind == "silu":
-        if sig is None:
-            sig = _sigmoid(h)
-        grad = 1.0 - sig  # sig * (1 + h * (1 - sig)), built in place
-        grad *= h
-        grad += 1.0
-        grad *= sig
-        return grad
-    return np.ones_like(h)
-
-
 def _activate(h, kind, grad: bool):
     """The nonlinearity at h and, with ``grad``, its derivative at h (else
     None).  Silu computes its sigmoid once for both."""
-    sig = _sigmoid(h) if kind == "silu" else None
-    out = _nonlin(h, kind) if sig is None else h * sig
-    return out, _nonlin_grad(h, kind, sig) if grad else None
+    if kind == "relu":
+        return np.maximum(h, 0.0), (h > 0.0).astype(np.float64) if grad else None
+    if kind == "silu":
+        sig = 1.0 / (1.0 + np.exp(-h))
+        out = h * sig
+        if not grad:
+            return out, None
+        d = 1.0 - sig  # sig * (1 + h * (1 - sig)), built in place
+        d *= h
+        d += 1.0
+        d *= sig
+        return out, d
+    return h, np.ones_like(h) if grad else None
 
 
 def im2col(x, kh, kw, stride, pad):

@@ -7,7 +7,7 @@ import numpy as np
 from .datasets import batches
 from .ema import EMAState, ema_update, materialize_ema
 from .flat import FlatLayout
-from .network import DENSE, NetworkSpec, backward, dampening_penalty, forward, loss_and_grad
+from .network import NetworkSpec, backward, dampening_penalty, forward, loss_and_grad
 from .numeric import Rng
 from .oscillation import DIVERGENCE_LIMIT, OscillationTracker, record_step
 from .quantizer import SCALE_FLOOR, init_scale, integer_code
@@ -164,8 +164,6 @@ def attach_quantizers(
         layer.w_quant = init_scale(
             layer.weight, bits=wb, signed=True, granularity=granularity, axis=axis
         )
-        if layer.kind == DENSE:
-            a_in = a_in.reshape(len(a_in), -1)
         signed = bool(a_in.min() < 0.0)
         layer.a_quant = init_scale(a_in, bits=ab, signed=signed, kind="activation")
         # One layer at a time: the calibration pass keeps no forward cache.

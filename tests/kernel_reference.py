@@ -132,11 +132,23 @@ def reference_bn_forward(bn: BNParams, h, update_running: bool):
     return out, {"x_hat": x_hat, "std": std, "axes": axes, "shape": shape}
 
 
-def reference_nonlin_grad(h, kind, sig=None):
-    """The derivative with the sigmoid computed afresh; ``sig`` is ignored."""
+def reference_nonlin(h, kind):
+    if kind == "relu":
+        return np.maximum(h, 0.0)
+    if kind == "silu":
+        return h * (1.0 / (1.0 + np.exp(-h)))
+    return h
+
+
+def reference_nonlin_grad(h, kind):
+    """The derivative with the sigmoid computed afresh."""
     if kind == "relu":
         return (h > 0.0).astype(np.float64)
     if kind == "silu":
         sig = 1.0 / (1.0 + np.exp(-h))
         return sig * (1.0 + h * (1.0 - sig))
     return np.ones_like(h)
+
+
+def reference_activate(h, kind, grad: bool):
+    return reference_nonlin(h, kind), reference_nonlin_grad(h, kind) if grad else None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kernel_reference import reference_bn_forward
+from kernel_reference import reference_bn_forward, reference_nonlin, reference_nonlin_grad
 from qatlab.network import (
     CONV2D,
     DENSE,
@@ -19,7 +19,7 @@ from qatlab.network import (
     loss_and_grad,
     make_bn,
 )
-from qatlab.network import _bn_backward, _bn_forward, _nonlin, _nonlin_grad
+from qatlab.network import _bn_backward, _bn_forward
 from qatlab.numeric import Rng
 from qatlab.quantizer import QuantizerState, init_scale, quantize, quantize_backward, round_to_grid
 from qatlab.training import attach_quantizers
@@ -105,11 +105,11 @@ def reference_conv_pass(net, x, loss_grad, mode):
         if layer.bn is not None:
             h, bn_ctx = _bn_forward(layer.bn, h, update_running=False)
         ctxs.append((a, a_used, w, cols, h, bn_ctx))
-        a = _nonlin(h, layer.nonlinearity)
+        a = reference_nonlin(h, layer.nonlinearity)
     grads, d = {}, loss_grad
     for i in reversed(range(len(net.layers))):
         layer, (a_in, a_used, w, cols, h, bn_ctx), p = net.layers[i], ctxs[i], f"layer{i}"
-        d = d * _nonlin_grad(h, layer.nonlinearity)
+        d = d * reference_nonlin_grad(h, layer.nonlinearity)
         if layer.bn is not None:
             d, grads[f"{p}.bn.gain"], grads[f"{p}.bn.bias"] = _bn_backward(layer.bn, bn_ctx, d)
         grads[f"{p}.bias"] = d.sum(axis=(0, 2, 3))

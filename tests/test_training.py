@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from kernel_reference import (
+    reference_activate,
     reference_adam_step,
     reference_bn_forward,
     reference_ema_update,
-    reference_nonlin_grad,
     reference_quantize_backward,
     reference_round_to_grid,
 )
@@ -473,7 +473,7 @@ class TestLeanKernelsKeepBits:
         monkeypatch.setattr(network, "round_to_grid", reference_round_to_grid)
         monkeypatch.setattr(network, "quantize_backward", reference_quantize_backward)
         monkeypatch.setattr(network, "_bn_forward", reference_bn_forward)
-        monkeypatch.setattr(network, "_nonlin_grad", reference_nonlin_grad)
+        monkeypatch.setattr(network, "_activate", reference_activate)
         reference = train_qat(qnet.copy(), d, cfg, ema_alphas=alphas)
 
         (net_a, emas_a, tracker_a, hist_a), (net_b, emas_b, tracker_b, hist_b) = shipped, reference
