@@ -33,7 +33,8 @@ from .network import build_cnn, build_mlp, forward
 from .numeric import Rng
 from .oscillation import flip_frequency, run_toy
 from .qc import absorb_corrections, fit_qc, fold_network, qc_ablation
-from .training import attach_quantizers, evaluate, shape_inputs, train_latent, train_qat
+from .training import attach_quantizers, check_batch_fits, evaluate, shape_inputs
+from .training import train_latent, train_qat
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -378,6 +379,7 @@ def task_toy(cfg: ExperimentConfig):
 
 def task_train(cfg: ExperimentConfig):
     dataset = build_dataset(cfg.dataset)
+    check_batch_fits(len(dataset.train_x), cfg.batch, max(cfg.epochs, cfg.pretrain_epochs))
 
     def work(seed, run_dir):
         qnet, ema, tracker, history = _qat_run(cfg, dataset, seed)
@@ -521,6 +523,7 @@ def task_ablate(cfg: ExperimentConfig):
     if cfg.epochs < 1:
         raise ValueError("the ema_decay ablation needs epochs >= 1")
     dataset = build_dataset(cfg.dataset)
+    check_batch_fits(len(dataset.train_x), cfg.batch, max(cfg.epochs, cfg.pretrain_epochs))
 
     def work(seed, run_dir):
         # EMA is passive, so one live run yields every decay's shadows.

@@ -8,6 +8,7 @@ here.
 """
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -19,13 +20,8 @@ class EMAState:
     alpha: float
     warmup_iters: int = 0
     iter: int = 0
-    shadows: dict = field(default_factory=dict)
+    shadows: dict = field(default_factory=dict)  # read-only after the first update
     _flat: "_FlatShadows" = field(default=None, init=False, repr=False, compare=False)
-
-    def __getstate__(self):
-        # A copy or an unpickled state lays its flat buffers out afresh:
-        # views into a buffer come back from a copy as arrays of their own.
-        return {**self.__dict__, "_flat": None}
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -39,95 +35,85 @@ class EMAState:
 
 
 class _FlatShadows:
-    """Shadows laid out in one flat buffer, plus a scratch buffer of the
-    same layout for ``(1 - a) * live``.  The scratch lives with the state,
-    so an update allocates nothing: on a one-entry dict an allocation per
-    call would cost more than the update."""
+    """Shadows laid out in one flat buffer for the names and shapes of the
+    first update's live dict, plus a scratch buffer of the same layout for
+    ``(1 - a) * live``.  The scratch lives with the state, so an update
+    allocates nothing: on a one-entry dict an allocation per call would
+    cost more than the update."""
 
-    def __init__(self, shadows: dict):
-        layout = FlatLayout(shadows)
-        self.flat = layout.gather(shadows)
+    def __init__(self, state: EMAState, live: dict):
+        _check_names(state.shadows, live, mid_run=state.iter > 0)
+        layout = FlatLayout(live)
+        self.fresh = [name for name in live if name not in state.shadows]
+        self.flat = layout.gather({**live, **state.shadows})
         self.scaled = np.empty(layout.size)
         self.views = layout.views(self.flat)
         scaled_views = layout.views(self.scaled).values()
         self.entries = tuple(zip(self.views, self.views.values(), scaled_views))
 
-    def scale_live(self, shadows: dict, live: dict, b: float) -> bool:
-        """Write ``b * live`` into the scratch buffer, if ``live`` has
-        exactly this layout's names and shapes and each of those shadows is
-        still this buffer's view; return whether it did."""
-        if len(live) != len(self.entries):
-            return False
-        try:
-            for name, view, scaled in self.entries:
-                p = live[name]
-                if shadows.get(name) is not view or p.shape != view.shape:
-                    return False
-                np.multiply(p, b, scaled)
-        except (KeyError, AttributeError):
-            return False
-        return True
+    def scale_live(self, live: dict, b: float):
+        """Write ``b * live`` into the scratch buffer; raise, leaving the
+        shadows alone, unless ``live`` has exactly this layout's names and
+        shapes."""
+        if len(live) == len(self.entries):
+            try:
+                for name, view, scaled in self.entries:
+                    p = live[name]
+                    if p.shape != view.shape:
+                        break
+                    np.multiply(p, b, scaled)
+                else:
+                    return
+            except KeyError:
+                pass
+        _check_names(self.views, live, mid_run=True)  # raises: a name or shape differs
+
+
+def _check_names(shadows, live: dict, mid_run: bool):
+    """Raise unless every name of ``live`` has a shadow of its shape (or,
+    before the first update, none yet) and every shadow a live value."""
+    for name, p in live.items():
+        sh = shadows.get(name)
+        if sh is None:
+            if mid_run:
+                raise RuntimeError(f"parameter {name!r} appeared mid-run")
+        elif sh.shape != np.shape(p):
+            raise RuntimeError(
+                f"shadow shape {sh.shape} does not match live {np.shape(p)} for {name!r}"
+            )
+    for name in shadows:
+        if name not in live:
+            raise RuntimeError(f"parameter {name!r} is missing from the update")
 
 
 def ema_update(state: EMAState, live: dict) -> EMAState:
     """Fold one iteration's live parameters into the shadows.
 
-    Call after every optimizer step.  The first call initializes the shadow
-    set; later calls must present the same parameter names and shapes.
-    During warmup the shadow is a plain copy, so it tracks live bit for bit.
+    Call after every optimizer step.  The first call lays the shadows out
+    for the names and shapes of ``live``: a shadow seeded by hand before it
+    is taken up, any other starts as its live value, and ``state.shadows``
+    becomes a read-only mapping of views into one flat buffer (so the state
+    can no longer be copied or pickled).  Every later call must pass the
+    same names and shapes, or it raises before anything changes.
 
-    The shadows of the names in ``live`` are views into one flat buffer,
-    updated in place as ``sh *= a; sh += (1 - a) * p``, which rounds
-    exactly like ``a * sh + (1 - a) * p``; with ``a = 0`` the shadow
-    becomes ``1 * p``, which is p.  A shadow that a caller sets by hand, or
-    a new name set or shape, lays the buffer out afresh at the next call; a
-    name's first shadow is its live value.
+    The update is in place: ``sh *= a; sh += (1 - a) * p`` rounds exactly
+    like ``a * sh + (1 - a) * p``, and with ``a = 0`` (warmup) the shadow
+    becomes ``1 * p``, which is p.
     """
+    flat = state._flat or _FlatShadows(state, live)
     a = state.effective_alpha
-    flat = state._flat
-    if flat is None or not flat.scale_live(state.shadows, live, 1.0 - a):
-        return _update_laid_out_afresh(state, live)
+    flat.scale_live(live, 1.0 - a)
     if a == 0.0:
         np.copyto(flat.flat, flat.scaled)
     else:
         np.multiply(flat.flat, a, flat.flat)
         np.add(flat.flat, flat.scaled, flat.flat)
+    if state._flat is None:
+        for name in flat.fresh:
+            np.copyto(flat.views[name], live[name])
+        state._flat, state.shadows = flat, MappingProxyType(flat.views)
     state.iter += 1
     return state
-
-
-def _update_laid_out_afresh(state: EMAState, live: dict) -> EMAState:
-    """``ema_update`` through a buffer laid out afresh for the names and
-    shapes of ``live``: the laid-out call takes the in-place path, then
-    each name without a shadow gets its live value.  Kept apart from
-    ``ema_update``: with this body inline, the one-entry update measured
-    about 2% slower."""
-    live = {name: np.asarray(p) for name, p in live.items()}
-    fresh = _check_names(state, live)
-    seeds = {name: state.shadows.get(name, p) for name, p in live.items()}
-    state._flat = _FlatShadows(seeds)
-    state.shadows.update(state._flat.views)
-    ema_update(state, live)
-    for name in fresh:
-        np.copyto(state.shadows[name], live[name])
-    return state
-
-
-def _check_names(state: EMAState, live: dict) -> list:
-    """Raise if a name of ``live`` is new after the first call or its shadow
-    has another shape; return the names that have no shadow yet."""
-    fresh = []
-    for name, p in live.items():
-        sh = state.shadows.get(name)
-        if sh is None:
-            if state.iter > 0:
-                raise RuntimeError(f"parameter {name!r} appeared mid-run")
-            fresh.append(name)
-        elif sh.shape != p.shape:
-            raise RuntimeError(
-                f"shadow shape {sh.shape} does not match live {p.shape} for {name!r}"
-            )
-    return fresh
 
 
 def materialize_ema(net, state: EMAState):

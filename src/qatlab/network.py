@@ -358,8 +358,7 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
         orig_shape = a.shape
         if layer.kind == DENSE and a.ndim > 2:
             a = a.reshape(a.shape[0], -1)
-        a_in = a
-        a_used, a_round = _effective(a_in, layer.a_quant, mode, k, cache)
+        a_used, a_round = _effective(a, layer.a_quant, mode, k, cache)
         w_used, w_round = _effective(layer.weight, layer.w_quant, mode, k, cache)
         h, cols = _linear(layer, a_used, w_used)
         h_lin = h
@@ -376,7 +375,6 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
             caches.append(
                 {
                     "orig_shape": orig_shape,
-                    "a_in": a_in,
                     "a_used": a_used,
                     "a_round": a_round,
                     "w_used": w_used,
@@ -389,7 +387,7 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
             )
         a = out
     if cache:
-        return a, {"mode": mode, "layers": caches, "batch": x.shape[0]}
+        return a, {"mode": mode, "layers": caches}
     return a
 
 

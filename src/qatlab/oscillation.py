@@ -54,8 +54,10 @@ class ToyProblem:
 
     def __post_init__(self):
         self.w_star = np.asarray(self.w_star, dtype=np.float64)
-        if self.w_star.ndim != 1:
-            raise ValueError("w_star must be 1-d")
+        if self.w_star.ndim != 1 or not self.w_star.size or not np.isfinite(self.w_star).all():
+            raise ValueError("w_star must be a non-empty 1-d array of finite numbers")
+        if not (self.s_w0 > 0 and self.s_x0 > 0):
+            raise ValueError("s_w0 and s_x0 must be positive")
         if self.bits_w < 1 or self.bits_x < 1:
             raise ValueError("bit widths must be >= 1")
         if self.steps <= 0 or self.batch_size < 1:

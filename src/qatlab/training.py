@@ -1,6 +1,7 @@
 """Training loops: Adam, quantizer attachment, evaluation, QAT."""
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -12,6 +13,8 @@ from .numeric import Rng
 from .oscillation import DIVERGENCE_LIMIT, OscillationTracker, record_step
 from .quantizer import SCALE_FLOOR, init_scale, integer_code
 
+FLIP_WINDOW = 2000  # the QAT steps over which train_qat's tracker counts flips
+
 
 @dataclass
 class AdamState:
@@ -20,51 +23,15 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    _flat: "_FlatMoments" = field(default=None, init=False, repr=False, compare=False)
-
-    def __getstate__(self):
-        # A copy or an unpickled state lays its flat buffers out afresh:
-        # views into a buffer come back from a copy as arrays of their own.
-        return {**self.__dict__, "_flat": None}
+    m: dict = field(default_factory=dict, init=False)  # read-only after the first step
+    v: dict = field(default_factory=dict, init=False)
+    _flat: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
         if self.lr <= 0.0 or self.eps <= 0.0:
             raise ValueError("lr and eps must be positive")
-
-
-class _FlatMoments:
-    """Adam's moments for one set of parameter names, each moment one flat
-    buffer laid out by name."""
-
-    def __init__(self, state: AdamState, params: dict):
-        self.layout = layout = FlatLayout(params)
-        for name, p in params.items():
-            if name not in state.m:
-                state.m[name] = np.zeros_like(p)
-                state.v[name] = np.zeros_like(p)
-        if not (layout.fits(state.m) and layout.fits(state.v)):
-            raise ValueError("Adam moments do not match the parameter shapes")
-        self.m = layout.gather(state.m)
-        self.v = layout.gather(state.v)
-        self.m_views = layout.views(self.m)
-        self.v_views = layout.views(self.v)
-        state.m.update(self.m_views)
-        state.v.update(self.v_views)
-        self.scales = [name for name in layout.names if name.endswith("_scale")]
-
-    def holds(self, state: AdamState, params: dict) -> bool:
-        """Whether ``params`` has exactly this layout's names and shapes and
-        the state's moments of those names are still these buffers' views."""
-        if len(params) != len(self.m_views) or not self.layout.fits(params):
-            return False
-        for name, m in self.m_views.items():
-            if state.m.get(name) is not m or state.v.get(name) is not self.v_views[name]:
-                return False
-        return True
 
 
 def _check_grads(params: dict, grads: dict):
@@ -81,30 +48,35 @@ def _check_grads(params: dict, grads: dict):
 def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
     """One Adam update, in place on the arrays in ``params``.
 
-    Only the names present in ``params`` are touched, so passing a subset
-    trains that subset and freezes everything else.  Parameters whose name
-    ends in ``_scale`` are clamped to the positive scale floor after the
-    update.
+    The first call lays out ``state.m`` and ``state.v`` for the names and
+    shapes of ``params``, as read-only views into one flat buffer each (the
+    state then cannot be copied or pickled).  A later call with other names
+    or shapes raises before anything changes, so a fixed subset of a net's
+    parameters trains and the rest stay frozen.  Parameters whose name ends
+    in ``_scale`` are clamped to the positive scale floor after the update.
 
-    The moments of the names in ``params`` are views into one flat buffer
-    each.  The gradients are gathered into one flat array, every Adam term
-    is one pass over the flat arrays, and the update is scattered back into
-    the parameter arrays.  The arithmetic is per element the same as
+    Every Adam term is one pass over the gathered flat gradients, and the
+    update is scattered back into ``params``.  Per element the arithmetic is
     ``m = b1 * m + (1 - b1) * g``, ``v = b2 * v + ((1 - b2) * g) * g`` and
     ``p -= (lr * m_hat) / (sqrt(v_hat) + eps)``.
     """
-    flat = state._flat
-    if flat is None or not flat.holds(state, params):
+    if state._flat is None:
         _check_grads(params, grads)
-        flat = state._flat = _FlatMoments(state, params)
-    if not flat.layout.fits(grads):
+        layout = FlatLayout(params)
+        m, v = np.zeros(layout.size), np.zeros(layout.size)
+        state.m = MappingProxyType(layout.views(m))
+        state.v = MappingProxyType(layout.views(v))
+        state._flat = layout, m, v, [n for n in layout.names if n.endswith("_scale")]
+    layout, m, v, scales = state._flat
+    if len(params) != len(layout.names) or not layout.fits(params):
+        raise ValueError("Adam moments do not match the parameter names and shapes")
+    if not layout.fits(grads):
         _check_grads(params, grads)
-    g = flat.layout.gather(grads)
+    g = layout.gather(grads)
     if not np.isfinite(g).all():
         _check_grads(params, grads)
     state.step += 1
     t = state.step
-    m, v = flat.m, flat.v
     m *= state.beta1
     tmp = np.multiply(g, 1.0 - state.beta1)
     m += tmp
@@ -118,10 +90,10 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
     np.sqrt(tmp, out=tmp)
     tmp += state.eps
     delta /= tmp
-    for name, d in flat.layout.views(delta).items():
+    for name, d in layout.views(delta).items():
         p = params[name]
         p -= d
-    for name in flat.scales:
+    for name in scales:
         np.maximum(params[name], SCALE_FLOOR, out=params[name])
     return params
 
@@ -203,8 +175,6 @@ class TrainConfig:
     ema_warmup_frac: float = 0.01
     dampening_lambda: float = 0.0
     seed: int = 0
-    flip_window: int = 2000
-    divergence_limit: float = DIVERGENCE_LIMIT
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -225,12 +195,20 @@ def _weight_codes(net, qlayers):
     )
 
 
+def check_batch_fits(rows: int, batch: int, epochs: int):
+    """Raise unless ``epochs`` over ``rows`` training rows take a step:
+    short final batches are dropped, so fewer rows than ``batch`` take none."""
+    if epochs >= 1 and rows < batch:
+        raise ValueError(f"{rows} training rows cannot fill one batch of {batch}")
+
+
 def train_latent(net, dataset, epochs: int, batch: int = 32, lr: float = 1e-3, seed: int = 0):
     """Plain full-precision pretraining, in place.  Returns the net."""
     rng = Rng(seed).child("pretrain")
     opt = AdamState(lr=lr)
     x_all = shape_inputs(dataset.train_x, net.input_shape)
     y_all = dataset.train_y
+    check_batch_fits(len(x_all), batch, epochs)
     for _ in range(epochs):
         for idx in batches(len(x_all), batch, drop_last=True, rng=rng):
             out, cache = forward(net, x_all[idx], mode="latent", cache=True, update_running=True)
@@ -254,7 +232,7 @@ def _qat_step(net, opt: AdamState, emas, x, y, cfg: TrainConfig, epoch: int) -> 
         loss += penalty
         for name, pg in pgrads.items():
             grads[name] = grads[name] + pg
-    if not np.isfinite(loss) or loss > cfg.divergence_limit:
+    if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
         raise RuntimeError(f"training diverged at epoch {epoch} (loss={loss})")
     adam_step(opt, net.parameters(), grads)
     for ema in emas:
@@ -281,10 +259,11 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
     rng = Rng(cfg.seed).child("qat")
     opt = AdamState(lr=cfg.lr)
     qlayers = [i for i, l in enumerate(net.layers) if l.w_quant is not None]
-    tracker = OscillationTracker(window=cfg.flip_window)
+    tracker = OscillationTracker(window=FLIP_WINDOW)
 
     x_all = shape_inputs(dataset.train_x, net.input_shape)
     y_all = dataset.train_y
+    check_batch_fits(len(x_all), cfg.batch, cfg.epochs)
     iters_per_epoch = len(x_all) // cfg.batch
     total_iters = cfg.epochs * iters_per_epoch
     if ema_alphas is None:
@@ -297,17 +276,13 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
     history = []
     shadow_histories = {alpha: [] for alpha in emas}
     for epoch in range(cfg.epochs):
-        epoch_loss, epoch_batches = 0.0, 0
+        epoch_loss = 0.0
         for idx in batches(len(x_all), cfg.batch, drop_last=True, rng=rng):
             epoch_loss += _qat_step(net, opt, emas.values(), x_all[idx], y_all[idx], cfg, epoch)
-            epoch_batches += 1
             if qlayers:
                 record_step(tracker, _weight_codes(net, qlayers))
 
-        row = {
-            "epoch": epoch,
-            "train_loss": epoch_loss / max(epoch_batches, 1),
-        }
+        row = {"epoch": epoch, "train_loss": epoch_loss / iters_per_epoch}
         ev = evaluate(net, dataset.eval_x, dataset.eval_y, mode="quantized")
         row["eval_loss"] = ev["loss"]
         if "accuracy" in ev:
@@ -316,12 +291,11 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
             history.append(row)
         for alpha, ema in emas.items():
             shadow_row = dict(row)
-            if ema.shadows:
-                shadow = materialize_ema(net, ema)
-                sev = evaluate(shadow, dataset.eval_x, dataset.eval_y, mode="quantized")
-                shadow_row["ema_eval_loss"] = sev["loss"]
-                if "accuracy" in sev:
-                    shadow_row["ema_eval_accuracy"] = sev["accuracy"]
+            shadow = materialize_ema(net, ema)
+            sev = evaluate(shadow, dataset.eval_x, dataset.eval_y, mode="quantized")
+            shadow_row["ema_eval_loss"] = sev["loss"]
+            if "accuracy" in sev:
+                shadow_row["ema_eval_accuracy"] = sev["accuracy"]
             shadow_histories[alpha].append(shadow_row)
     if ema_alphas is not None:
         return net, emas, tracker, shadow_histories

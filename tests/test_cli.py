@@ -414,12 +414,37 @@ class TestErrors:
          "toy.ema_alpha=1.0", 'ema.enabled="no"', 'ema.warmup_frac="x"', "ema.warmup_frac=-1",
          "qc.batch=[1]", 'qc.lr="x"', 'dataset.n="5"', 'dataset.noise="x"', "dataset.kind=idx",
          'dataset.teacher="x"', "seeds=[-1]", "seeds=[340282366920938463463374607431768211456]",
-         "seeds=[0,0]"],
+         "seeds=[0,0]", "toy.w_star=[]", "toy.w_star=[NaN]", "toy.w_star=[Infinity]",
+         "toy.s_w0=0", "toy.s_x0=0"],
     )
     def test_bad_config_types(self, tmp_path, override):
         out = tmp_path / "out"
         assert main(["train", "--out", str(out), "--set", override]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "task", [["train"], ["ablate", "--set", "ablate_kind=ema_decay"]], ids=["train", "ema_decay"]
+    )
+    @pytest.mark.parametrize(
+        "overrides",
+        [["batch=100000"], ["dataset.n=3"], ["epochs=0", "batch=100000"],
+         ["epochs=1", "pretrain_epochs=0", "batch=100000"]],
+        ids=["batch", "rows", "pretrain_only", "qat_only"],
+    )
+    def test_no_training_step(self, tmp_path, capsys, task, overrides):
+        """Training that could not take one step exits 2 with no run
+        directory, whichever phase it is."""
+        out = tmp_path / "out"
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        assert main([*task, "--out", str(out), *sets]) == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_no_epochs_need_no_batch(self, tmp_path):
+        out = tmp_path / "out"
+        sets = ["--set", "epochs=0", "--set", "pretrain_epochs=0", "--set", "batch=100000"]
+        assert main(["train", "--out", str(out), *sets]) == 0
+        assert (out / "train-seed0" / "metrics.csv").exists()
 
     @pytest.mark.parametrize(
         "damage, named",

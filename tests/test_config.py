@@ -56,6 +56,11 @@ class TestValidation:
             {"seeds": [-1]},
             {"seeds": [2**128]},
             {"seeds": [0, 1, 0]},
+            {"toy": {"w_star": []}},
+            {"toy": {"w_star": [float("nan")]}},
+            {"toy": {"w_star": [float("inf")]}},
+            {"toy": {"s_w0": 0.0}},
+            {"toy": {"s_x0": 0}},
         ],
     )
     def test_bad_field(self, kwargs):

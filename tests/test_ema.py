@@ -116,36 +116,13 @@ class TestFlatEmaOracle:
         for st in (flat, ref):  # seeded by hand before the first update
             st.shadows["b"] = np.arange(4.0)
         live = {name: np.array(rng.normal(shape)) for name, shape in EMA_SHAPES.items()}
-        for step in range(1000):
+        for _ in range(1000):
             # Live arrays change in place, as a net's parameters do; "s" is
             # a new array every step, as the toy's weights are.
             live["w"] += rng.normal((4, 3))
             live["b"][...] = rng.normal((4,))
             live["s"] = np.array(rng.uniform((), 0.1, 1.0))
             live["gain"] *= 0.99
-            if step % 9 == 4:  # a subset leaves the other shadows alone
-                part = {k: live[k] for k in ("w", "s")}
-                ema_update(flat, part)
-                reference_ema_update(ref, part)
-            else:
-                ema_update(flat, live)
-                reference_ema_update(ref, live)
-            if step == 600:  # a shadow set by hand mid-run is taken up
-                flat.shadows["gain"] = np.array([5.0, -5.0])
-                ref.shadows["gain"] = np.array([5.0, -5.0])
-            _assert_same_shadows(flat, ref)
-
-    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda st: pickle.loads(pickle.dumps(st))])
-    def test_copied_state_continues_like_the_original(self, clone):
-        rng = Rng(12)
-        flat, ref = EMAState(alpha=0.8), EMAState(alpha=0.8)
-        live = {"w": np.array(rng.normal((3, 2))), "s": np.array(0.5)}
-        for _ in range(3):
-            ema_update(flat, live)
-            reference_ema_update(ref, live)
-        flat = clone(flat)
-        for _ in range(3):
-            live["w"] += 1.0
             ema_update(flat, live)
             reference_ema_update(ref, live)
             _assert_same_shadows(flat, ref)
@@ -158,25 +135,75 @@ class TestFlatEmaOracle:
         live["w"] += 1.0
         np.testing.assert_array_equal(state.shadows["w"], np.ones(3))
 
-    def _running(self):
+    @staticmethod
+    def _live(shape_a=(2, 3), **extra):
+        return {"a": np.full(shape_a, 0.5), "b": np.arange(4.0), **extra}
+
+    def _rejects(self, misuse, error=RuntimeError, match=None):
+        """``misuse`` of a running state raises and leaves it as it was."""
         state = EMAState(alpha=0.9)
         for _ in range(5):
-            ema_update(state, {"a": np.zeros((2, 3)), "b": np.zeros(4)})
-        return state
+            ema_update(state, self._live())
+        before = {name: sh.copy() for name, sh in state.shadows.items()}
+        with pytest.raises(error, match=match):
+            misuse(state)
+        assert state.iter == 5
+        assert sorted(state.shadows) == sorted(before)
+        for name, shadow in before.items():
+            assert np.array_equal(state.shadows[name], shadow), name
+        ema_update(state, self._live())
+        assert state.iter == 6
 
     def test_new_name_mid_run_rejected(self):
-        with pytest.raises(RuntimeError, match="'c' appeared mid-run"):
-            ema_update(self._running(), {"a": np.zeros((2, 3)), "b": np.zeros(4), "c": np.zeros(1)})
+        live = self._live(c=np.zeros(1))
+        self._rejects(lambda st: ema_update(st, live), match="'c' appeared mid-run")
 
     def test_renamed_parameter_rejected(self):
-        with pytest.raises(RuntimeError, match="'c' appeared mid-run"):
-            ema_update(self._running(), {"a": np.zeros((2, 3)), "c": np.zeros(4)})
+        live = {"a": np.zeros((2, 3)), "c": np.zeros(4)}
+        self._rejects(lambda st: ema_update(st, live), match="'c' appeared mid-run")
 
     @pytest.mark.parametrize("shape", [(3, 2), (7,)])
     def test_shape_change_mid_run_rejected(self, shape):
         # (3, 2) has the size of (2, 3), so only the shape differs.
-        with pytest.raises(RuntimeError, match="does not match live"):
-            ema_update(self._running(), {"a": np.zeros(shape), "b": np.zeros(4)})
+        live = self._live(shape)
+        self._rejects(lambda st: ema_update(st, live), match="does not match live")
+
+    def test_left_out_name_rejected(self):
+        live = {"a": np.zeros((2, 3))}
+        self._rejects(lambda st: ema_update(st, live), match="'b' is missing from the update")
+
+    def test_non_array_live_value_rejected(self):
+        live = {**self._live(), "a": [[0.0] * 3] * 2}
+        self._rejects(lambda st: ema_update(st, live), AttributeError)
+
+    def test_rebinding_a_shadow_raises(self):
+        def rebind(state):
+            state.shadows["a"] = np.zeros((2, 3))
+
+        self._rejects(rebind, TypeError)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, pickle.dumps])
+    def test_laid_out_state_cannot_be_copied(self, clone):
+        self._rejects(clone, TypeError)
+
+    def test_bad_first_update_leaves_the_state_fresh(self):
+        state = EMAState(alpha=0.9)
+        state.shadows["b"] = np.arange(4.0)
+        with pytest.raises(RuntimeError, match="'b' is missing from the update"):
+            ema_update(state, {"a": np.zeros(2)})
+        with pytest.raises(AttributeError):
+            ema_update(state, {"b": [1.0, 2.0, 3.0, 4.0]})
+        assert state.iter == 0 and type(state.shadows) is dict and list(state.shadows) == ["b"]
+        np.testing.assert_array_equal(state.shadows["b"], np.arange(4.0))
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda st: pickle.loads(pickle.dumps(st))])
+    def test_fresh_state_copies(self, clone):
+        state = EMAState(alpha=0.8)
+        state.shadows["b"] = np.arange(4.0)
+        twin = clone(state)
+        for st in (state, twin):
+            ema_update(st, self._live())
+        _assert_same_shadows(twin, state)
 
 
 class TestMaterialize:

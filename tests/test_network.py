@@ -463,7 +463,7 @@ class TestBackward:
         out, cache = forward(net, x, "quantized", cache=True, update_running=True)
         expected = []
         for layer, ctx in zip(net.layers, cache["layers"]):
-            expected += [ctx["a_in"].shape, layer.weight.shape]
+            expected += [ctx["a_used"].shape, layer.weight.shape]
         assert rounding_calls == expected and len(expected) == 10
         backward(net, cache, loss_and_grad(net.loss, out, rng.integers(0, 3, (8,)))[1])
         assert len(rounding_calls) == 10

@@ -149,35 +149,13 @@ class TestFlatAdamOracle:
         ref_params = {k: v.copy() for k, v in start.items()}
         flat, ref = AdamState(lr=lr), AdamState(lr=lr)
         floored = 0
-        for step in range(1000):
+        for _ in range(1000):
             grads = _random_grads(rng)
-            if step % 7 == 3:  # train a subset; grads still carry every name
-                names = SUBSET
-            else:
-                names = ADAM_SHAPES
-            adam_step(flat, {n: flat_params[n] for n in names}, grads)
-            reference_adam_step(ref, {n: ref_params[n] for n in names}, grads)
-            if step == 600:  # a moment set by hand is taken up
-                seeded = rng.normal((5,))
-                flat.m["layer0.bias"] = seeded.copy()
-                ref.m["layer0.bias"] = seeded.copy()
+            adam_step(flat, flat_params, grads)
+            reference_adam_step(ref, ref_params, grads)
             _assert_same_adam(flat, ref, flat_params, ref_params)
             floored += int((flat_params["layer1.w_scale"] == SCALE_FLOOR).sum())
         assert lr < 0.05 or floored > 0
-
-    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda st: pickle.loads(pickle.dumps(st))])
-    def test_copied_state_continues_like_the_original(self, clone):
-        rng = Rng(5)
-        params = _random_params(rng)
-        ref_params = {k: v.copy() for k, v in params.items()}
-        flat, ref = AdamState(lr=0.01), AdamState(lr=0.01)
-        for step in range(6):
-            if step == 3:
-                flat = clone(flat)
-            grads = _random_grads(rng)
-            adam_step(flat, params, grads)
-            reference_adam_step(ref, ref_params, grads)
-            _assert_same_adam(flat, ref, params, ref_params)
 
     def _trained(self, steps=10):
         rng = Rng(9)
@@ -185,6 +163,61 @@ class TestFlatAdamOracle:
         for _ in range(steps):
             adam_step(st, params, _random_grads(rng))
         return rng, params, st
+
+    def _rejects(self, misuse, error=ValueError, match=None):
+        """``misuse`` of a running state raises and leaves it as it was."""
+        rng, params, st = self._trained()
+        before = [{k: v.copy() for k, v in d.items()} for d in (params, st.m, st.v)]
+        with pytest.raises(error, match=match):
+            misuse(st, params, _random_grads(rng))
+        assert st.step == 10
+        for got, want in zip((params, st.m, st.v), before):
+            assert list(got) == list(want)
+            for name in want:
+                assert np.array_equal(got[name], want[name]), name
+        adam_step(st, params, _random_grads(rng))
+        assert st.step == 11
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda p: {**p, "layer2.bias": np.zeros(3)},  # a new name
+            lambda p: {k: v for k, v in p.items() if k != "layer0.bias"},  # one left out
+            lambda p: {k.replace("layer0.bias", "layer0.b"): v for k, v in p.items()},
+            lambda p: {**p, "layer0.weight": np.zeros((3, 5))},  # same size, new shape
+        ],
+        ids=["new", "left_out", "renamed", "reshaped"],
+    )
+    def test_another_name_set_or_shape_rejected(self, change):
+        def step(st, params, grads):
+            changed = change(params)
+            adam_step(st, changed, {**grads, **{k: np.zeros_like(v) for k, v in changed.items()}})
+
+        self._rejects(step, match="Adam moments do not match the parameter names and shapes")
+
+    @pytest.mark.parametrize("moments", ["m", "v"])
+    def test_rebinding_a_moment_raises(self, moments):
+        def rebind(st, params, grads):
+            getattr(st, moments)["layer0.bias"] = np.zeros(5)
+
+        self._rejects(rebind, TypeError)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, pickle.dumps])
+    def test_laid_out_state_cannot_be_copied(self, clone):
+        self._rejects(lambda st, params, grads: clone(st), TypeError)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda st: pickle.loads(pickle.dumps(st))])
+    def test_fresh_state_copies(self, clone):
+        rng = Rng(5)
+        params = _random_params(rng)
+        twin_params = {k: v.copy() for k, v in params.items()}
+        st = AdamState(lr=0.01)
+        twin = clone(st)
+        for _ in range(3):
+            grads = _random_grads(rng)
+            adam_step(st, params, grads)
+            adam_step(twin, twin_params, grads)
+        _assert_same_adam(twin, st, twin_params, params)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["layer0.weight", "layer0.a_scale", "layer1.qc_beta"])
@@ -411,11 +444,20 @@ class TestTrainQat:
             for a, b in zip(live.parameters().values(), ref.parameters().values()):
                 np.testing.assert_array_equal(a, b)
 
-    def test_divergence_guard(self):
+    def test_too_few_rows_for_a_batch(self):
         d, qnet = self._setup()
-        cfg = TrainConfig(epochs=1, divergence_limit=1e-9)
+        batch = len(d.train_x) + 1
+        with pytest.raises(ValueError, match=f"cannot fill one batch of {batch}"):
+            train_qat(qnet, d, TrainConfig(epochs=1, batch=batch))
+        with pytest.raises(ValueError, match=f"cannot fill one batch of {batch}"):
+            train_latent(qnet, d, epochs=1, batch=batch)
+        train_qat(qnet, d, TrainConfig(epochs=0, batch=batch))  # no epoch, no step wanted
+
+    def test_divergence_guard(self, monkeypatch):
+        d, qnet = self._setup()
+        monkeypatch.setattr(training, "DIVERGENCE_LIMIT", 1e-9)
         with pytest.raises(RuntimeError, match="diverged"):
-            train_qat(qnet, d, cfg)
+            train_qat(qnet, d, TrainConfig(epochs=1))
 
     def test_dampening_pulls_weights_toward_grid(self):
         # The penalty minimizes |w - q(w)|, so the trained latent weights
