@@ -3,7 +3,6 @@ run directories (metrics CSV, checkpoints, manifest)."""
 
 import argparse
 import csv
-import inspect
 import json
 import os
 import sys
@@ -27,7 +26,7 @@ from .config import (
     config_to_dict,
     resolve_config,
 )
-from .datasets import Dataset, gen_classification, gen_regression, load_csv, load_idx
+from .datasets import Dataset, build_dataset
 from .ema import materialize_ema
 from .network import build_cnn, build_mlp, forward
 from .numeric import Rng
@@ -111,37 +110,16 @@ def write_manifest(run_dir, cfg, seed, wall, artifacts, status="ok", error=None,
     return manifest
 
 
-def _accepted(fn, spec: dict) -> dict:
-    """The entries of ``spec`` that ``fn`` takes as keyword arguments."""
-    params = inspect.signature(fn).parameters
-    return {k: v for k, v in spec.items() if k in params}
-
-
-def build_dataset(spec: dict) -> Dataset:
-    """Build a ``dataset`` section's data.  Each generator or loader gets the
-    spec keys it takes, and its signature supplies the rest."""
-    kind = spec["kind"]
-    if kind in ("blobs", "spirals"):
-        return gen_classification(**_accepted(gen_classification, {**spec, "mode": kind}))
-    if kind == "regression":
-        return gen_regression(**_accepted(gen_regression, spec))
-    if kind == "idx":
-        return load_idx(spec["path"], **_accepted(load_idx, spec))
-    if kind == "csv":
-        schema = {k: spec[k] for k in ("target", "task") if k in spec}
-        return load_csv(schema=schema, **_accepted(load_csv, spec))
-    raise ValueError(f"unknown dataset kind {kind!r}")
+def _network_io(dataset: Dataset) -> tuple:
+    """(input features, outputs, loss) of a network for ``dataset``."""
+    if dataset.task == "classification":
+        return dataset.inputs.shape[1], int(dataset.targets.max()) + 1, "softmax_ce"
+    return dataset.inputs.shape[1], dataset.targets.shape[1], "mse"
 
 
 def build_network(cfg: ExperimentConfig, dataset: Dataset, seed: int):
     rng = Rng(seed).child("init")
-    in_dim = dataset.inputs.shape[1]
-    if dataset.task == "classification":
-        out_dim = int(dataset.targets.max()) + 1
-        loss = "softmax_ce"
-    else:
-        out_dim = dataset.targets.shape[1]
-        loss = "mse"
+    in_dim, out_dim, loss = _network_io(dataset)
     if cfg.network == "mlp":
         return build_mlp(in_dim, out_dim, rng=rng, loss=loss)
     if in_dim != 16:
@@ -313,18 +291,27 @@ def _open_checkpoint(cfg: ExperimentConfig):
     except ValueError as exc:
         raise RuntimeError(f"unusable checkpoint: {exc}") from None
     spec = experiment.get("dataset")
-    if not spec:
-        return ckpt, net, ema, cfg.dataset, build_dataset(cfg.dataset)
+    if spec is None:
+        return ckpt, net, ema, cfg.dataset, _dataset_for(net, cfg.dataset)
     try:
         if not isinstance(spec, dict):
             raise ValueError(f"dataset must be an object, got {spec!r}")
         # Checkpoints written before dataset.mode was removed carry it, and
         # build_dataset ignores it.
         check_dataset({k: v for k, v in spec.items() if k != "mode"})
-        dataset = build_dataset(spec)
-    except ValueError as exc:
+        dataset = _dataset_for(net, spec)
+    except (ValueError, OSError) as exc:
         raise RuntimeError(f"unusable checkpoint: {exc}") from None
     return ckpt, net, ema, spec, dataset
+
+
+def _dataset_for(net, spec: dict) -> Dataset:
+    """``spec``'s data; a ValueError unless it fits ``net``'s inputs, outputs and loss."""
+    dataset = build_dataset(spec)
+    have = (int(np.prod(net.input_shape)), len(net.layers[-1].bias), net.loss)
+    if _network_io(dataset) != have:
+        raise ValueError(f"the dataset needs {_network_io(dataset)}, the network has {have}")
+    return dataset
 
 
 def _shadow_net(net, ema):

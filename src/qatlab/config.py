@@ -9,43 +9,24 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal, get_args, get_origin
 
-from .datasets import gen_classification, gen_regression
+from .datasets import BUILDERS
 from .oscillation import ToyProblem
 from .qc import QCConfig
 from .training import TrainConfig
 
 # The ema, qc and toy sections are the fields of the dataclass built from each
-# (plus qc.source); dataset values are typed by the generator signatures.
+# (plus qc.source); dataset is the parameters of its builders (less mode,
+# which kind sets, plus kind).
 _EMA = {f.name[4:]: f for f in dataclasses.fields(TrainConfig) if f.name.startswith("ema_")}
 _QC = {f.name: f for f in dataclasses.fields(QCConfig)}
+_BUILDER_PARAMS = [
+    (k, p) for build in BUILDERS.values() for k, p in inspect.signature(build).parameters.items()
+]
 _SECTION_TYPES = {
-    "dataset": {
-        name: p.annotation
-        for fn in (gen_classification, gen_regression)
-        for name, p in inspect.signature(fn).parameters.items()
-    },
+    "dataset": {"kind": str, **{k: p.annotation for k, p in _BUILDER_PARAMS if k != "mode"}},
     "ema": {k: f.type for k, f in _EMA.items()},
     "qc": {**{k: f.type for k, f in _QC.items()}, "source": Literal["ema", "live"]},
     "toy": {f.name: f.type for f in dataclasses.fields(ToyProblem)},
-}
-_SECTION_KEYS = {
-    "dataset": {
-        "kind",
-        "seed",
-        "n",
-        "dim",
-        "classes",
-        "noise",
-        "separation",
-        "teacher",
-        "eval_fraction",
-        "calib_fraction",
-        "path",
-        "labels_path",
-        "target",
-        "task",
-    },
-    **{section: set(_SECTION_TYPES[section]) for section in ("ema", "qc", "toy")},
 }
 # A section given in a file or by override is merged over its defaults, so a
 # partial section keeps the rest.  ToyProblem fills in what toy leaves out.
@@ -151,6 +132,7 @@ _TYPE_CHECKS = {
     float: (_is_number, "a finite number"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
     str: (lambda v: isinstance(v, str), "a string"),
+    str | None: (lambda v: v is None or isinstance(v, str), "a string or null"),
     tuple[int, ...]: (
         lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
         "a list of integers",
@@ -173,7 +155,7 @@ def _check_types(where, values, types):
 
 
 def _check_section(section, values):
-    unknown = set(values) - _SECTION_KEYS[section]
+    unknown = set(values) - set(_SECTION_TYPES[section])
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
     _check_types(f"{section}.", values, _SECTION_TYPES[section])
@@ -181,14 +163,15 @@ def _check_section(section, values):
 
 def check_dataset(spec: dict):
     """Raise ValueError unless ``spec`` is a ``dataset`` section: known
-    keys, values of the generator-signature types, a known kind, and a
-    path for the file kinds."""
+    keys, values of the types its builders' signatures give, a kind of
+    ``BUILDERS``, and every parameter that kind's builder has no default for."""
     _check_section("dataset", spec)
     kind = spec.get("kind")
-    if kind not in ("blobs", "spirals", "regression", "idx", "csv"):
-        raise ValueError(f"dataset.kind must be a known generator, got {kind!r}")
-    if kind in ("idx", "csv") and not isinstance(spec.get("path"), str):
-        raise ValueError(f"dataset.path must name the {kind} file")
+    if kind not in BUILDERS:
+        raise ValueError(f"dataset.kind must be one of {sorted(BUILDERS)}, got {kind!r}")
+    for name, p in inspect.signature(BUILDERS[kind]).parameters.items():
+        if p.default is p.empty and name not in spec:
+            raise ValueError(f"dataset.{name} must be set for kind {kind!r}")
 
 
 def _build(what, make):

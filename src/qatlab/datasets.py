@@ -1,9 +1,12 @@
-"""Synthetic task generators, file loaders, and split bookkeeping."""
+"""Synthetic task generators, file loaders, and split bookkeeping.  The
+builders' signatures are the schema of the ``dataset`` config section."""
 
 import csv
 import dataclasses
+import inspect
 import struct
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -30,7 +33,6 @@ class Dataset:
     eval_idx: np.ndarray
     calib_idx: np.ndarray
     task: str
-    seed: int = 0
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -52,37 +54,13 @@ class Dataset:
         if not np.isin(self.calib_idx, self.train_idx).all():
             raise ValueError("calibration rows must come from the training split")
 
-    @property
-    def train_x(self):
-        return self.inputs[self.train_idx]
-
-    @property
-    def train_y(self):
-        return self.targets[self.train_idx]
-
-    @property
-    def eval_x(self):
-        return self.inputs[self.eval_idx]
-
-    @property
-    def eval_y(self):
-        return self.targets[self.eval_idx]
-
-    @property
-    def calib_x(self):
-        return self.inputs[self.calib_idx]
-
-    @property
-    def calib_y(self):
-        return self.targets[self.calib_idx]
-
-
-def _split(n, eval_fraction, rng):
-    if not 0.0 <= eval_fraction < 1.0:
-        raise ValueError("eval_fraction must be in [0, 1)")
-    perm = rng.permutation(n)
-    k = int(round(eval_fraction * n))
-    return perm[k:], perm[:k]
+    # The rows of each split.
+    train_x = property(lambda self: self.inputs[self.train_idx])
+    train_y = property(lambda self: self.targets[self.train_idx])
+    eval_x = property(lambda self: self.inputs[self.eval_idx])
+    eval_y = property(lambda self: self.targets[self.eval_idx])
+    calib_x = property(lambda self: self.inputs[self.calib_idx])
+    calib_y = property(lambda self: self.targets[self.calib_idx])
 
 
 def make_calibration(d: Dataset, fraction: float, seed: int) -> Dataset:
@@ -95,6 +73,18 @@ def make_calibration(d: Dataset, fraction: float, seed: int) -> Dataset:
     k = min(k, len(train))
     order = Rng(seed).child("calib").permutation(len(train))
     return dataclasses.replace(d, calib_idx=np.sort(train[order[:k]]))
+
+
+def _split_dataset(x, y, task, seed, eval_fraction, calib_fraction) -> Dataset:
+    """``Dataset`` of the rows (x, y): the first ``eval_fraction`` of a
+    ``Rng(seed).child("split")`` permutation are eval rows, the rest train,
+    and a calibration subsample of the training rows is drawn."""
+    if not 0.0 <= eval_fraction < 1.0:
+        raise ValueError("eval_fraction must be in [0, 1)")
+    perm = Rng(seed).child("split").permutation(len(x))
+    k = int(round(eval_fraction * len(x)))
+    d = Dataset(x, y, perm[k:], perm[:k], perm[:0], task)
+    return make_calibration(d, calib_fraction, seed)
 
 
 def _teacher_forward(x, widths, rng):
@@ -127,9 +117,7 @@ def gen_regression(
     y = x if len(tuple(teacher)) == 0 else _teacher_forward(x, tuple(teacher), root.child("teacher"))
     if noise > 0.0:
         y = y + noise * root.child("noise").normal((n, dim))
-    train, ev = _split(n, eval_fraction, root.child("split"))
-    d = Dataset(x, y, train, ev, train[:0], REGRESSION, seed)
-    return make_calibration(d, calib_fraction, seed)
+    return _split_dataset(x, y, REGRESSION, seed, eval_fraction, calib_fraction)
 
 
 def _blob_centers(classes, dim, separation, rng):
@@ -181,10 +169,8 @@ def gen_classification(
         raise ValueError(f"unknown mode {mode!r}")
 
     order = root.child("shuffle").permutation(n)
-    x, labels = x[order], labels[order]
-    train, ev = _split(n, eval_fraction, root.child("split"))
-    d = Dataset(x, labels.astype(np.int64), train, ev, train[:0], CLASSIFICATION, seed)
-    return make_calibration(d, calib_fraction, seed)
+    y = labels[order].astype(np.int64)
+    return _split_dataset(x[order], y, CLASSIFICATION, seed, eval_fraction, calib_fraction)
 
 
 def _read_exact(buf, offset, count, path):
@@ -219,17 +205,17 @@ def _parse_idx(path):
 
 
 def load_idx(
-    images_path,
-    labels_path=None,
+    path: str,
+    labels_path: str | None = None,
     eval_fraction: float = 0.2,
     seed: int = 0,
     calib_fraction: float = 0.1,
 ) -> Dataset:
-    """Load big-endian IDX image (and optional label) files.  Pixels are
-    scaled to [0, 1]; rows are flattened to (n, h*w)."""
-    images = _parse_idx(images_path)
+    """Load a big-endian IDX image file at ``path`` (and an optional label
+    file).  Pixels are scaled to [0, 1]; rows are flattened to (n, h*w)."""
+    images = _parse_idx(path)
     if images.ndim != 3:
-        raise ValueError(f"{images_path}: expected a rank-3 image file")
+        raise ValueError(f"{path}: expected a rank-3 image file")
     n = images.shape[0]
     x = images.reshape(n, -1).astype(np.float64) / 255.0
     if labels_path is not None:
@@ -237,42 +223,34 @@ def load_idx(
         if labels.ndim != 1:
             raise ValueError(f"{labels_path}: expected a rank-1 label file")
         if len(labels) != n:
-            raise ValueError(
-                f"label count {len(labels)} does not match image count {n}"
-            )
+            raise ValueError(f"label count {len(labels)} does not match image count {n}")
         y = labels.astype(np.int64)
     else:
         y = np.zeros(n, dtype=np.int64)
-    train, ev = _split(n, eval_fraction, Rng(seed).child("split"))
-    d = Dataset(x, y, train, ev, train[:0], CLASSIFICATION, seed)
-    return make_calibration(d, calib_fraction, seed)
+    return _split_dataset(x, y, CLASSIFICATION, seed, eval_fraction, calib_fraction)
 
 
 def load_csv(
-    path,
-    schema: dict,
+    path: str,
+    target: str = "target",
+    task: Literal["regression", "classification"] = REGRESSION,
     eval_fraction: float = 0.2,
     seed: int = 0,
     calib_fraction: float = 0.1,
 ) -> Dataset:
-    """Load a numeric CSV with a header row.  ``schema`` may give the target
-    column name (default ``target``) and the task kind (default regression)."""
-    allowed = {"target", "task"}
-    if set(schema) - allowed:
-        raise ValueError(f"unknown schema keys: {sorted(set(schema) - allowed)}")
-    target_col = schema.get("target", "target")
-    task = schema.get("task", REGRESSION)
-    if task not in (REGRESSION, CLASSIFICATION):
-        raise ValueError(f"unknown task {task!r}")
-
+    """Load a numeric CSV with a header row; the ``target`` column holds
+    the targets and every other column is a feature."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = rows[0]
-    if target_col not in header:
-        raise ValueError(f"{path}: no column named {target_col!r} in header")
-    t_col = header.index(target_col)
+    if target not in header:
+        raise ValueError(f"{path}: no column named {target!r} in header")
+    t_col = header.index(target)
     if len(rows) < 2:
         raise ValueError(f"{path}: no data rows")
 
@@ -292,14 +270,38 @@ def load_csv(
     x = np.asarray(feats, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if task == CLASSIFICATION:
-        if not np.array_equal(y, np.round(y)):
-            raise ValueError(f"{path}: classification targets must be integers")
+        if not np.array_equal(y, np.round(y)) or (y < 0).any():
+            raise ValueError(f"{path}: classification targets must be integers >= 0")
         y = y.astype(np.int64)
     else:
         y = y[:, None]
-    train, ev = _split(len(x), eval_fraction, Rng(seed).child("split"))
-    d = Dataset(x, y, train, ev, train[:0], task, seed)
-    return make_calibration(d, calib_fraction, seed)
+    return _split_dataset(x, y, task, seed, eval_fraction, calib_fraction)
+
+
+# dataset.kind -> builder; blobs and spirals are gen_classification's modes.
+# Plain functions, not partials: perfbench's tracer rebinds the functions it
+# finds in module dicts, and would not see the calls through a partial.
+BUILDERS = {
+    "blobs": gen_classification,
+    "spirals": gen_classification,
+    "regression": gen_regression,
+    "idx": load_idx,
+    "csv": load_csv,
+}
+
+
+def build_dataset(spec: dict) -> Dataset:
+    """Build a checked ``dataset`` section's data: ``BUILDERS[kind]`` gets
+    the spec keys its signature takes, and its own defaults fill the rest.
+    Every task uses training and eval rows, so neither split may be empty."""
+    build = BUILDERS[spec["kind"]]
+    params = inspect.signature(build).parameters
+    d = build(**{k: v for k, v in {**spec, "mode": spec["kind"]}.items() if k in params})
+    if not (d.train_idx.size and d.eval_idx.size):
+        raise ValueError(
+            f"{d.train_idx.size} training and {d.eval_idx.size} eval rows; need one of each"
+        )
+    return d
 
 
 def batches(n: int, size: int, drop_last: bool, rng=None):

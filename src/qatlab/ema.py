@@ -12,11 +12,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .flat import FlatLayout
+from .flat import FlatLayout, LaidOutState
 
 
 @dataclass
-class EMAState:
+class EMAState(LaidOutState):
     alpha: float
     warmup_iters: int = 0
     iter: int = 0
@@ -47,15 +47,17 @@ class _FlatShadows:
         self.fresh = [name for name in live if name not in state.shadows]
         self.flat = layout.gather({**live, **state.shadows})
         self.scaled = np.empty(layout.size)
-        self.views = layout.views(self.flat)
+        views = layout.views(self.flat)
+        self.shadows = MappingProxyType(views)
         scaled_views = layout.views(self.scaled).values()
-        self.entries = tuple(zip(self.views, self.views.values(), scaled_views))
+        self.entries = tuple(zip(views, views.values(), scaled_views))
+        self.count = len(self.entries)
 
     def scale_live(self, live: dict, b: float):
         """Write ``b * live`` into the scratch buffer; raise, leaving the
         shadows alone, unless ``live`` has exactly this layout's names and
         shapes."""
-        if len(live) == len(self.entries):
+        if len(live) == self.count:
             try:
                 for name, view, scaled in self.entries:
                     p = live[name]
@@ -66,7 +68,7 @@ class _FlatShadows:
                     return
             except KeyError:
                 pass
-        _check_names(self.views, live, mid_run=True)  # raises: a name or shape differs
+        _check_names(self.shadows, live, mid_run=True)  # raises: a name or shape differs
 
 
 def _check_names(shadows, live: dict, mid_run: bool):
@@ -94,13 +96,16 @@ def ema_update(state: EMAState, live: dict) -> EMAState:
     is taken up, any other starts as its live value, and ``state.shadows``
     becomes a read-only mapping of views into one flat buffer (so the state
     can no longer be copied or pickled).  Every later call must pass the
-    same names and shapes, or it raises before anything changes.
+    same names and shapes, with that mapping still bound to
+    ``state.shadows``, or it raises before anything changes.
 
     The update is in place: ``sh *= a; sh += (1 - a) * p`` rounds exactly
     like ``a * sh + (1 - a) * p``, and with ``a = 0`` (warmup) the shadow
     becomes ``1 * p``, which is p.
     """
     flat = state._flat or _FlatShadows(state, live)
+    if flat is state._flat and state.shadows is not flat.shadows:
+        raise RuntimeError("EMAState.shadows was rebound after the first update")
     a = state.effective_alpha
     flat.scale_live(live, 1.0 - a)
     if a == 0.0:
@@ -110,8 +115,8 @@ def ema_update(state: EMAState, live: dict) -> EMAState:
         np.add(flat.flat, flat.scaled, flat.flat)
     if state._flat is None:
         for name in flat.fresh:
-            np.copyto(flat.views[name], live[name])
-        state._flat, state.shadows = flat, MappingProxyType(flat.views)
+            np.copyto(flat.shadows[name], live[name])
+        state._flat, state.shadows = flat, flat.shadows
     state.iter += 1
     return state
 

@@ -2,7 +2,8 @@
 
 Adam's moments and the EMA shadows are updated by one in-place pass over
 such a buffer per term, instead of one set of passes per parameter.  The
-name -> array dicts that callers see are views into the buffer.
+name -> array dicts that callers see are read-only mappings of views into
+the buffer.
 """
 
 import numpy as np
@@ -42,3 +43,14 @@ class FlatLayout:
             name: flat[start:stop].reshape(shape)
             for name, shape, (start, stop) in zip(self.names, self.shapes, self.bounds)
         }
+
+
+class LaidOutState:
+    """Base of a state whose dicts become views into flat buffers (held in
+    ``_flat``) at its first update.  A copy would share those buffers, so
+    copying or pickling a laid-out state raises TypeError."""
+
+    def __reduce_ex__(self, protocol):
+        if self._flat is not None:
+            raise TypeError(f"a laid-out {type(self).__name__} cannot be copied or pickled")
+        return super().__reduce_ex__(protocol)

@@ -42,9 +42,13 @@ PER_TENSOR = "per_tensor"
 PER_CHANNEL = "per_channel"
 
 
+# |z| + 0.5 rounds up 0.5 - ulp and odd integers in [2**52, 2**53) to the next integer.
+_BELOW_HALF = np.nextafter(0.5, 0.0)
+
+
 def round_half_away(z: np.ndarray) -> np.ndarray:
     """Round to nearest integer, ties away from zero."""
-    return np.sign(z) * np.floor(np.abs(z) + 0.5)
+    return np.sign(z) * np.floor(np.abs(z) + _BELOW_HALF)
 
 
 def integer_range(bits: int, signed: bool) -> tuple[int, int]:
@@ -209,14 +213,9 @@ def soft_round(w: np.ndarray, q: QuantizerState, c: SoftRoundConfig) -> np.ndarr
     Elements farther than k from their nearest level keep their latent value;
     everything is clipped to the representable range [s*u, s*v].
     """
-    w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("soft_round rejects non-finite input")
-    s = q.broadcast_scale(w)
-    z = w / s
-    r = round_half_away(z)
+    z, r, _ = round_to_grid(w, q)[2]
     snapped = np.where(np.abs(z - r) <= c.k, r, z)
-    return s * np.clip(snapped, q.u, q.v)
+    return q.broadcast_scale(z) * np.clip(snapped, q.u, q.v)
 
 
 def init_scale(

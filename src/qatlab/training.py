@@ -7,7 +7,7 @@ import numpy as np
 
 from .datasets import batches
 from .ema import EMAState, ema_update, materialize_ema
-from .flat import FlatLayout
+from .flat import FlatLayout, LaidOutState
 from .network import NetworkSpec, backward, dampening_penalty, forward, loss_and_grad
 from .numeric import Rng
 from .oscillation import DIVERGENCE_LIMIT, OscillationTracker, record_step
@@ -17,7 +17,7 @@ FLIP_WINDOW = 2000  # the QAT steps over which train_qat's tracker counts flips
 
 
 @dataclass
-class AdamState:
+class AdamState(LaidOutState):
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -51,9 +51,10 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
     The first call lays out ``state.m`` and ``state.v`` for the names and
     shapes of ``params``, as read-only views into one flat buffer each (the
     state then cannot be copied or pickled).  A later call with other names
-    or shapes raises before anything changes, so a fixed subset of a net's
-    parameters trains and the rest stay frozen.  Parameters whose name ends
-    in ``_scale`` are clamped to the positive scale floor after the update.
+    or shapes, or after ``state.m`` or ``state.v`` was rebound, raises before
+    anything changes, so a fixed subset of a net's parameters trains and the
+    rest stay frozen.  Parameters whose name ends in ``_scale`` are clamped
+    to the positive scale floor after the update.
 
     Every Adam term is one pass over the gathered flat gradients, and the
     update is scattered back into ``params``.  Per element the arithmetic is
@@ -66,8 +67,11 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
         m, v = np.zeros(layout.size), np.zeros(layout.size)
         state.m = MappingProxyType(layout.views(m))
         state.v = MappingProxyType(layout.views(v))
-        state._flat = layout, m, v, [n for n in layout.names if n.endswith("_scale")]
-    layout, m, v, scales = state._flat
+        scales = [n for n in layout.names if n.endswith("_scale")]
+        state._flat = layout, m, v, scales, state.m, state.v
+    layout, m, v, scales, m_views, v_views = state._flat
+    if state.m is not m_views or state.v is not v_views:
+        raise ValueError("Adam moments were rebound after the first step")
     if len(params) != len(layout.names) or not layout.fits(params):
         raise ValueError("Adam moments do not match the parameter names and shapes")
     if not layout.fits(grads):

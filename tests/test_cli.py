@@ -23,6 +23,9 @@ from qatlab.quantizer import QuantizerState
 from qatlab.training import TrainConfig, attach_quantizers, evaluate, train_latent, train_qat
 
 
+DELETED = object()  # a dataset spec change that removes the key
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -415,7 +418,8 @@ class TestErrors:
          "qc.batch=[1]", 'qc.lr="x"', 'dataset.n="5"', 'dataset.noise="x"', "dataset.kind=idx",
          'dataset.teacher="x"', "seeds=[-1]", "seeds=[340282366920938463463374607431768211456]",
          "seeds=[0,0]", "toy.w_star=[]", "toy.w_star=[NaN]", "toy.w_star=[Infinity]",
-         "toy.s_w0=0", "toy.s_x0=0"],
+         "toy.s_w0=0", "toy.s_x0=0", "dataset.labels_path=5", "dataset.labels_path=true",
+         "dataset.labels_path=0", "dataset.target=5", "dataset.eval_fraction=0"],
     )
     def test_bad_config_types(self, tmp_path, override):
         out = tmp_path / "out"
@@ -439,6 +443,35 @@ class TestErrors:
         assert main([*task, "--out", str(out), *sets]) == 2
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [["dataset.eval_fraction=0.0"], ["dataset.n=5", "dataset.eval_fraction=0.95"]],
+        ids=["no_eval_rows", "no_train_rows"],
+    )
+    def test_empty_split(self, tmp_path, capsys, overrides):
+        """A dataset that splits into no eval rows or no training rows exits
+        2 with no run directory, even when nothing would train."""
+        out = tmp_path / "out"
+        sets = [arg for o in ["epochs=0", "pretrain_epochs=0", *overrides] for arg in ("--set", o)]
+        assert main(["train", "--out", str(out), *sets]) == 2
+        assert not out.exists()
+        assert "need one of each" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("labels_path", ["5", "true", "0"])
+    def test_labels_path_is_never_a_file_descriptor(self, tmp_path, labels_path):
+        """A non-string labels_path exits 2 without opening the number as a
+        file descriptor, so the process keeps its stdin and stdout."""
+        images = tmp_path / "x.idx"
+        images.write_bytes(b"\x00\x00\x08\x03" + struct.pack(">III", 10, 4, 4) + bytes(160))
+        argv = ["train", "--out", str(tmp_path / "out"), "--set", "dataset.kind=idx",
+                "--set", f"dataset.path={images}", "--set", f"dataset.labels_path={labels_path}"]
+        script = f"from qatlab.cli import main\nrc = main({argv!r})\nprint('stdout open', rc)\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              stdin=subprocess.DEVNULL, timeout=60)
+        assert proc.stdout.strip() == "stdout open 2", proc.stderr
+        assert "labels_path" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_no_epochs_need_no_batch(self, tmp_path):
         out = tmp_path / "out"
@@ -494,13 +527,20 @@ class TestErrors:
             ({"n": "5"}, "dataset.n"),
             ({"kind": "nope"}, "dataset.kind"),
             ({"n": 1}, "n >= classes"),
+            ({"seed": DELETED}, "dataset.seed"),
+            ({"eval_fraction": 0.0}, "eval rows"),
+            ({"dim": 2}, "the network has"),
+            ({"kind": "csv", "path": "no-such-dir/d.csv"}, "No such file"),
         ],
     )
     def test_checkpoint_with_bad_dataset_spec(self, train_run, tmp_path, capsys, change, named):
         """The dataset spec a checkpoint carries is checked like a config's
         dataset section; a bad one makes the file unusable (exit 3)."""
         ckpt = load_checkpoint(train_run / "train-seed0" / "checkpoint.qat")
-        ckpt.config["experiment"]["dataset"].update(change)
+        spec = ckpt.config["experiment"]["dataset"]
+        spec.update(change)
+        for key in [k for k, v in change.items() if v is DELETED]:
+            del spec[key]
         bad = tmp_path / "bad.qat"
         save_checkpoint(bad, ckpt)
         out = tmp_path / "out"
@@ -508,6 +548,28 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "unusable checkpoint" in err and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("spec", [[], 0, "", {}], ids=["list", "zero", "string", "empty"])
+    def test_checkpoint_with_empty_or_non_object_dataset_spec(self, train_run, tmp_path, capsys,
+                                                              spec):
+        """Only a checkpoint without a dataset spec falls back to the
+        config's dataset; an empty or non-object spec is unusable (exit 3)."""
+        ckpt = load_checkpoint(train_run / "train-seed0" / "checkpoint.qat")
+        ckpt.config["experiment"]["dataset"] = spec
+        save_checkpoint(tmp_path / "bad.qat", ckpt)
+        out = tmp_path / "out"
+        assert main(["eval", "--out", str(out), "--set", f"checkpoint={tmp_path / 'bad.qat'}"]) == 3
+        assert "unusable checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_without_dataset_spec_uses_the_config(self, train_run, tmp_path):
+        ckpt = load_checkpoint(train_run / "train-seed0" / "checkpoint.qat")
+        del ckpt.config["experiment"]["dataset"]
+        save_checkpoint(tmp_path / "old.qat", ckpt)
+        out = tmp_path / "out"
+        argv = ["eval", "--out", str(out), "--set", f"checkpoint={tmp_path / 'old.qat'}"]
+        assert main(argv + ["--set", "dataset.n=300"]) == 0
+        assert (out / "eval-seed0" / "eval.csv").exists()
 
     def test_checkpoint_with_legacy_dataset_mode_loads(self, train_run, tmp_path):
         """Checkpoints written while ``dataset.mode`` was a key still carry

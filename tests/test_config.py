@@ -4,7 +4,7 @@ import json
 import pytest
 
 from qatlab.config import (
-    _SECTION_KEYS,
+    _SECTION_TYPES,
     ExperimentConfig,
     apply_override,
     config_from_dict,
@@ -85,16 +85,22 @@ class TestValidation:
 
     def test_section_keys_are_consumer_fields(self):
         """Each section accepts exactly the fields of the dataclass built
-        from it; qc also takes the source key."""
+        from it; qc also takes the source key.  The dataset keys, read off
+        the builders' signatures, are the fourteen documented ones."""
         def names(cls, prefix=""):
             return {f.name[len(prefix):] for f in dataclasses.fields(cls)
                     if f.name.startswith(prefix)}
 
-        assert _SECTION_KEYS["toy"] == names(ToyProblem)
-        assert _SECTION_KEYS["qc"] == names(QCConfig) | {"source"}
-        assert _SECTION_KEYS["ema"] == names(TrainConfig, "ema_")
-        assert set(ExperimentConfig().qc) == _SECTION_KEYS["qc"]
-        assert set(ExperimentConfig().ema) == _SECTION_KEYS["ema"]
+        keys = {section: set(types) for section, types in _SECTION_TYPES.items()}
+        assert keys["toy"] == names(ToyProblem)
+        assert keys["qc"] == names(QCConfig) | {"source"}
+        assert keys["ema"] == names(TrainConfig, "ema_")
+        assert set(ExperimentConfig().qc) == keys["qc"]
+        assert set(ExperimentConfig().ema) == keys["ema"]
+        assert keys["dataset"] == {
+            "kind", "seed", "n", "dim", "classes", "noise", "separation", "teacher",
+            "eval_fraction", "calib_fraction", "path", "labels_path", "target", "task",
+        }
 
     def test_section_must_be_object(self):
         with pytest.raises(ValueError, match="qc must be an object"):

@@ -208,57 +208,70 @@ class TestLoadCsv:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,y\n1.5,2.0,0.25\n-3.0,0.5,1.75\n")
-        d = load_csv(p, {"target": "y"}, eval_fraction=0.0)
+        d = load_csv(p, target="y", eval_fraction=0.0)
         np.testing.assert_array_equal(d.inputs, [[1.5, 2.0], [-3.0, 0.5]])
         np.testing.assert_array_equal(d.targets, [[0.25], [1.75]])
 
     def test_target_column_position(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("y,a\n9.0,1.0\n8.0,2.0\n")
-        d = load_csv(p, {"target": "y"}, eval_fraction=0.0)
+        d = load_csv(p, target="y", eval_fraction=0.0)
         np.testing.assert_array_equal(d.inputs, [[1.0], [2.0]])
 
     def test_classification_targets(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,y\n0.5,1\n0.7,0\n")
-        d = load_csv(p, {"target": "y", "task": "classification"}, eval_fraction=0.0)
+        d = load_csv(p, target="y", task="classification", eval_fraction=0.0)
         assert d.targets.dtype == np.int64
 
     def test_non_integer_class_label(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,y\n0.5,1.5\n")
         with pytest.raises(ValueError, match="integer"):
-            load_csv(p, {"target": "y", "task": "classification"})
+            load_csv(p, target="y", task="classification")
+
+    def test_negative_class_label(self, tmp_path):
+        # A label of -1 would index the last logit and train silently.
+        p = tmp_path / "d.csv"
+        p.write_text("a,y\n0.5,1\n0.7,-1\n")
+        with pytest.raises(ValueError, match="integers >= 0"):
+            load_csv(p, target="y", task="classification")
 
     def test_malformed_cell_reports_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,y\n1.0,2.0\nbogus,3.0\n")
         with pytest.raises(ValueError, match="line 3"):
-            load_csv(p, {"target": "y"})
+            load_csv(p, target="y")
 
     def test_ragged_row_reports_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,y\n1.0,2.0,9.9\n")
         with pytest.raises(ValueError, match="line 2"):
-            load_csv(p, {"target": "y"})
+            load_csv(p, target="y")
 
     def test_missing_target_column(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1.0,2.0\n")
         with pytest.raises(ValueError, match="no column"):
-            load_csv(p, {"target": "y"})
+            load_csv(p, target="y")
 
     def test_no_data_rows(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,y\n")
         with pytest.raises(ValueError, match="no data"):
-            load_csv(p, {"target": "y"})
+            load_csv(p, target="y")
+
+    def test_oversized_field(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,y\n" + "1" * 200_000 + ",2.0\n")
+        with pytest.raises(ValueError, match="field larger than field limit"):
+            load_csv(p, target="y")
 
     def test_unknown_schema_key(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,y\n1.0,2.0\n")
-        with pytest.raises(ValueError, match="schema"):
-            load_csv(p, {"target": "y", "normalize": True})
+        with pytest.raises(TypeError, match="normalize"):
+            load_csv(p, target="y", normalize=True)
 
 
 class TestMakeCalibration:

@@ -186,6 +186,28 @@ class TestFlatEmaOracle:
     def test_laid_out_state_cannot_be_copied(self, clone):
         self._rejects(clone, TypeError)
 
+    def test_laid_out_state_cannot_be_shallow_copied(self):
+        self._rejects(copy.copy, TypeError, match="cannot be copied")
+
+    def test_rebound_shadows_rejected(self):
+        """Rebinding ``shadows`` after the first update makes the next
+        update raise and change nothing; binding the laid-out mapping back
+        lets the run go on."""
+        state = EMAState(alpha=0.9)
+        for _ in range(5):
+            ema_update(state, self._live())
+        laid_out = state.shadows
+        before = {name: sh.copy() for name, sh in laid_out.items()}
+        state.shadows = {name: np.zeros_like(sh) for name, sh in before.items()}
+        with pytest.raises(RuntimeError, match="shadows was rebound"):
+            ema_update(state, self._live())
+        assert state.iter == 5
+        for name, shadow in before.items():
+            assert np.array_equal(laid_out[name], shadow), name
+        state.shadows = laid_out
+        ema_update(state, self._live())
+        assert state.iter == 6
+
     def test_bad_first_update_leaves_the_state_fresh(self):
         state = EMAState(alpha=0.9)
         state.shadows["b"] = np.arange(4.0)

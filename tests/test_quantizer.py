@@ -59,15 +59,21 @@ class TestRounding:
         assert round_half_away(np.float64(z)) == expect
 
     def test_pinned_values_and_signed_zeros(self):
-        # sign(z) * floor(|z| + 0.5): -0.0 rounds to +0.0, and 0.5 - ulp
-        # rounds to 1 because |z| + 0.5 rounds up to 1.0 before the floor.
+        # sign(z) * floor(|z| + (0.5 - ulp)): -0.0 rounds to +0.0, and
+        # 0.5 - ulp rounds to a zero of its own sign.
         below_half = np.nextafter(0.5, 0.0)
         z = np.array([0.0, -0.0, 0.5, -0.5, below_half, -below_half, 2.5, -2.5, 1e300])
         r = round_half_away(z)
-        np.testing.assert_array_equal(r, [0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 3.0, -3.0, 1e300])
+        np.testing.assert_array_equal(r, [0.0, 0.0, 1.0, -1.0, 0.0, -0.0, 3.0, -3.0, 1e300])
         np.testing.assert_array_equal(
             np.signbit(r), [False, False, False, True, False, True, False, True, False]
         )
+
+    def test_integers_are_fixed_points_up_to_2_53(self):
+        # An odd integer in [2**52, 2**53) plus 0.5 is a tie that rounds up
+        # to the next integer; plus 0.5 - ulp it stays put.
+        z = np.array([2.0**52 + 1, -(2.0**52 + 1), 2.0**53 - 1, 2.0**52 - 0.5])
+        np.testing.assert_array_equal(round_half_away(z), [z[0], z[1], z[2], 2.0**52])
 
 
 class TestQuantize:

@@ -206,6 +206,28 @@ class TestFlatAdamOracle:
     def test_laid_out_state_cannot_be_copied(self, clone):
         self._rejects(lambda st, params, grads: clone(st), TypeError)
 
+    def test_laid_out_state_cannot_be_shallow_copied(self):
+        self._rejects(lambda st, params, grads: copy.copy(st), TypeError, match="cannot be copied")
+
+    @pytest.mark.parametrize("moments", ["m", "v"])
+    def test_rebound_moments_rejected(self, moments):
+        """Rebinding ``m`` or ``v`` after the first step makes the next step
+        raise and change nothing; binding the laid-out mapping back lets
+        training go on."""
+        rng, params, st = self._trained()
+        laid_out = getattr(st, moments)
+        before = [{k: v.copy() for k, v in d.items()} for d in (params, st.m, st.v)]
+        setattr(st, moments, {k: np.zeros_like(v) for k, v in laid_out.items()})
+        with pytest.raises(ValueError, match="moments were rebound"):
+            adam_step(st, params, _random_grads(rng))
+        setattr(st, moments, laid_out)
+        assert st.step == 10
+        for got, want in zip((params, st.m, st.v), before):
+            for name in want:
+                assert np.array_equal(got[name], want[name]), name
+        adam_step(st, params, _random_grads(rng))
+        assert st.step == 11
+
     @pytest.mark.parametrize("clone", [copy.deepcopy, lambda st: pickle.loads(pickle.dumps(st))])
     def test_fresh_state_copies(self, clone):
         rng = Rng(5)
