@@ -332,7 +332,7 @@ def task_toy(cfg: ExperimentConfig):
     problem = cfg.toy_problem()
 
     def work(seed, run_dir):
-        trace, tracker = run_toy(problem, use_ema=True, rng=Rng(seed))
+        trace, tracker = run_toy(problem, rng=Rng(seed))
         n = trace["w"].shape[1]
         header = (
             ["iter"]
@@ -424,10 +424,7 @@ def task_fold(cfg: ExperimentConfig):
     _, net, _, dataset_spec, dataset = _open_checkpoint(cfg)
 
     def work(seed, run_dir):
-        frozen = net.copy()
-        for layer in frozen.layers:
-            if layer.bn is not None:
-                layer.bn.mode = "eval"
+        frozen = net.frozen()
         merged = absorb_corrections(frozen)
         folded = fold_network(merged)
         x = shape_inputs(dataset.eval_x, net.input_shape)
@@ -528,6 +525,17 @@ def task_ablate(cfg: ExperimentConfig):
     _per_seed(cfg, work)
 
 
+def _final_metric(final: dict, prefix: str):
+    """(name, value) of the eval metric a manifest's ``final`` holds under
+    ``prefix``: accuracy if the run has one, else loss, a qc run's value
+    after fitting over its value before.  (None, None) if there is none."""
+    for name in ("eval_accuracy", "eval_loss"):
+        for key in (f"{prefix}{name}_after", f"{prefix}{name}"):
+            if key in final:
+                return name, final[key]
+    return None, None
+
+
 def task_report(cfg: ExperimentConfig):
     start = time.perf_counter()
     groups = {}
@@ -539,17 +547,15 @@ def task_report(cfg: ExperimentConfig):
             manifest = json.load(fh)
         if manifest.get("status") != "ok" or "method" not in manifest:
             continue
-        final = manifest.get("final", {})
-        if "eval_accuracy" in final or "eval_accuracy_after" in final:
-            metric = final.get("eval_accuracy_after", final.get("eval_accuracy"))
-            metric_name = "eval_accuracy"
-        else:
-            metric = final.get("eval_loss_after", final.get("eval_loss"))
-            metric_name = "eval_loss"
-        if metric is None:
-            continue
-        key = (manifest["method"], manifest.get("bits_w"), metric_name)
-        groups.setdefault(key, []).append(float(metric))
+        # A train run with EMA on records both arms: the live net and its shadows.
+        arms = [(manifest["method"], "")]
+        if manifest.get("task") == "train" and manifest["method"] == "ema":
+            arms = [("plain", ""), ("ema", "ema_")]
+        for method, prefix in arms:
+            metric_name, metric = _final_metric(manifest.get("final", {}), prefix)
+            if metric is not None:
+                key = (method, manifest.get("bits_w"), metric_name)
+                groups.setdefault(key, []).append(float(metric))
 
     header = ["method", "bits_w", "metric", "runs", "mean", "spread"]
     rows = []
@@ -643,7 +649,7 @@ def main(argv=None) -> int:
 
     try:
         TASK_RUNNERS[cfg.task](cfg)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, OSError) as exc:

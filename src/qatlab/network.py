@@ -106,7 +106,7 @@ class LayerSpec:
     nonlinearity: str = "none"
     stride: int = 1
     pad: int = 0
-    # Per-channel affine correction applied between the linear op and BN.
+    # Output correction between the linear op and BN (apply_correction).
     qc_gamma: np.ndarray = None
     qc_beta: np.ndarray = None
 
@@ -181,6 +181,14 @@ class NetworkSpec:
             loss=self.loss,
         )
 
+    def frozen(self) -> "NetworkSpec":
+        """A copy with every batch norm in eval mode (running statistics)."""
+        net = self.copy()
+        for layer in net.layers:
+            if layer.bn is not None:
+                layer.bn.mode = "eval"
+        return net
+
     def parameters(self) -> dict:
         """Live views of every trainable array, keyed layerN.name.
 
@@ -211,6 +219,16 @@ class NetworkSpec:
                 out[f"layer{i}.bn.running_mean"] = layer.bn.running_mean
                 out[f"layer{i}.bn.running_var"] = layer.bn.running_var
         return out
+
+
+def apply_correction(h, gamma, beta):
+    """The output correction gamma * h + beta along the channel axis (axis
+    1): a gamma of size 1 is per-tensor, one of size C per-channel."""
+    if gamma.size not in (1, h.shape[1]):
+        raise ValueError(f"correction over {gamma.size} channels cannot apply to {h.shape[1]}")
+    shape = [1] * h.ndim
+    shape[1] = gamma.size
+    return gamma.reshape(shape) * h + beta.reshape(shape)
 
 
 def _activate(h, kind, grad: bool):
@@ -363,10 +381,7 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
         h, cols = _linear(layer, a_used, w_used)
         h_lin = h
         if layer.qc_gamma is not None:
-            # Size C for per-channel correction, size 1 for per-tensor.
-            cshape = [1] * h.ndim
-            cshape[1] = layer.qc_gamma.size
-            h = layer.qc_gamma.reshape(cshape) * h + layer.qc_beta.reshape(cshape)
+            h = apply_correction(h, layer.qc_gamma, layer.qc_beta)
         bn_ctx = None
         if layer.bn is not None:
             h, bn_ctx = _bn_forward(layer.bn, h, update_running)

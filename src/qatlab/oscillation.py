@@ -158,12 +158,13 @@ def _mean_norm(e):
     return float(np.mean(np.sqrt(np.sum(e * e, axis=1))))
 
 
-def run_toy(p: ToyProblem, use_ema: bool = False, rng: Rng = None):
+def run_toy(p: ToyProblem, rng: Rng = None):
     """Plain gradient descent on (w, s_w, s_x) through the quantizer.
 
     Records every step: latent w, q(w), both scales, batch loss, and the
-    integer codes fed to the tracker.  With use_ema, shadows of all three
-    trainables are updated after each step and recorded in parallel.
+    integer codes fed to the tracker.  EMA shadows of all three trainables
+    are updated after each step and recorded in parallel; they are passive,
+    so the live run is the same as without them.
     Aborts if the reported loss exceeds DIVERGENCE_LIMIT.
 
     Each step rounds x and w once; that rounding feeds the residual, the
@@ -176,12 +177,10 @@ def run_toy(p: ToyProblem, use_ema: bool = False, rng: Rng = None):
     q_x = QuantizerState(s=np.asarray(float(p.s_x0)), bits=p.bits_x, signed=False)
     w = p.w_star.copy()
     tracker = OscillationTracker(window=max(p.steps, 2))
-    rows = {k: [] for k in ("w", "q_w", "s_w", "s_x", "loss", "codes")}
-    if use_ema:
-        ema = EMAState(alpha=p.ema_alpha, warmup_iters=int(p.ema_warmup_frac * p.steps))
-        sh_q_w = q_w.copy()
-        for k in ("ema_w", "ema_s_w", "ema_s_x", "ema_codes"):
-            rows[k] = []
+    ema = EMAState(alpha=p.ema_alpha, warmup_iters=int(p.ema_warmup_frac * p.steps))
+    sh_q_w = q_w.copy()
+    rows = {k: [] for k in ("w", "q_w", "s_w", "s_x", "loss", "codes",
+                            "ema_w", "ema_s_w", "ema_s_x", "ema_codes")}
 
     for step in range(p.steps):
         x = rng.uniform((p.batch_size,), p.x_lo, p.x_hi)
@@ -200,13 +199,12 @@ def run_toy(p: ToyProblem, use_ema: bool = False, rng: Rng = None):
         rows["s_x"].append(float(q_x.s))
         rows["loss"].append(loss)
         rows["codes"].append(codes)
-        if use_ema:
-            sh_w = ema.shadows.get("w", w)
-            sh_q_w.s[...] = ema.shadows.get("s_w", q_w.s)
-            rows["ema_w"].append(sh_w.copy())
-            rows["ema_s_w"].append(float(sh_q_w.s))
-            rows["ema_s_x"].append(float(ema.shadows.get("s_x", q_x.s)))
-            rows["ema_codes"].append(integer_code(sh_w, sh_q_w))
+        sh_w = ema.shadows.get("w", w)
+        sh_q_w.s[...] = ema.shadows.get("s_w", q_w.s)
+        rows["ema_w"].append(sh_w.copy())
+        rows["ema_s_w"].append(float(sh_q_w.s))
+        rows["ema_s_x"].append(float(ema.shadows.get("s_x", q_x.s)))
+        rows["ema_codes"].append(integer_code(sh_w, sh_q_w))
 
         # Squared-norm gradients of the sampled objective.
         g_w, g_sw = quantize_backward(w_round, q_w, -2.0 / x.size * (qx @ e))
@@ -215,17 +213,15 @@ def run_toy(p: ToyProblem, use_ema: bool = False, rng: Rng = None):
         w = w - p.lr * g_w
         q_w.s[...] = np.maximum(q_w.s - p.lr * g_sw, SCALE_FLOOR)
         q_x.s[...] = np.maximum(q_x.s - p.lr * g_sx, SCALE_FLOOR)
-        if use_ema:
-            ema_update(ema, {"w": w, "s_w": q_w.s, "s_x": q_x.s})
+        ema_update(ema, {"w": w, "s_w": q_w.s, "s_x": q_x.s})
 
     trace = {k: np.asarray(v) for k, v in rows.items()}
     eval_x = rng.child("toy_eval").uniform((4096,), p.x_lo, p.x_hi)
     trace["final_eval_loss"] = toy_objective(w, q_w, q_x, eval_x, p.w_star)
-    if use_ema:
-        sh_q_w.s[...] = ema.shadows["s_w"]
-        sh_q_x = q_x.copy()
-        sh_q_x.s[...] = ema.shadows["s_x"]
-        trace["final_eval_loss_ema"] = toy_objective(
-            ema.shadows["w"], sh_q_w, sh_q_x, eval_x, p.w_star
-        )
+    sh_q_w.s[...] = ema.shadows["s_w"]
+    sh_q_x = q_x.copy()
+    sh_q_x.s[...] = ema.shadows["s_x"]
+    trace["final_eval_loss_ema"] = toy_objective(
+        ema.shadows["w"], sh_q_w, sh_q_x, eval_x, p.w_star
+    )
     return trace, tracker

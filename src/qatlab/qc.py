@@ -1,5 +1,6 @@
-"""Post-hoc affine correction of quantized layer outputs, plus the
-absorption and folding algebra that makes it free at inference time."""
+"""Fitting of the post-hoc output correction (``network.apply_correction``)
+on quantized layers, plus the absorption and folding algebra that makes it
+free at inference time."""
 
 from dataclasses import dataclass
 
@@ -11,42 +12,6 @@ from .numeric import Rng
 from .oscillation import DIVERGENCE_LIMIT
 from .quantizer import PER_CHANNEL, PER_TENSOR, SCALE_FLOOR, QuantizerState
 from .training import AdamState, adam_step, evaluate, shape_inputs
-
-
-@dataclass
-class CorrectionParams:
-    """Affine output correction gamma * h + beta, per channel or shared."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    granularity: str = PER_CHANNEL
-
-    def __post_init__(self):
-        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=np.float64))
-        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=np.float64))
-        if self.gamma.shape != self.beta.shape or self.gamma.ndim != 1:
-            raise ValueError("gamma and beta must be matching 1-d arrays")
-        if self.granularity not in (PER_TENSOR, PER_CHANNEL):
-            raise ValueError(f"unknown granularity {self.granularity!r}")
-        if self.granularity == PER_TENSOR and self.gamma.size != 1:
-            raise ValueError("per-tensor correction must have a single factor")
-
-
-def identity_correction(channels: int, granularity: str = PER_CHANNEL) -> CorrectionParams:
-    size = channels if granularity == PER_CHANNEL else 1
-    return CorrectionParams(np.ones(size), np.zeros(size), granularity)
-
-
-def apply_correction(h: np.ndarray, c: CorrectionParams) -> np.ndarray:
-    """Apply gamma * h + beta along the channel axis (axis 1)."""
-    h = np.asarray(h, dtype=np.float64)
-    if c.gamma.size not in (1, h.shape[1]):
-        raise ValueError(
-            f"correction over {c.gamma.size} channels cannot apply to {h.shape[1]}"
-        )
-    cshape = [1] * h.ndim
-    cshape[1] = c.gamma.size
-    return c.gamma.reshape(cshape) * h + c.beta.reshape(cshape)
 
 
 @dataclass
@@ -72,7 +37,7 @@ def fit_qc(net, calib_x, calib_y, cfg: QCConfig, seed: int = 0):
     Works on a copy: the input net, its weights, biases, scales, and BN
     statistics are never touched.  Exactly one epoch of Adam over the
     correction parameters, with batch norm frozen in eval mode.  Returns
-    ``(corrected_net, {layer_index: CorrectionParams})``.
+    ``(corrected_net, {layer_index: (gamma, beta)})``, the arrays copied.
     """
     calib_x = np.asarray(calib_x, dtype=np.float64)
     if len(calib_x) == 0:
@@ -81,14 +46,11 @@ def fit_qc(net, calib_x, calib_y, cfg: QCConfig, seed: int = 0):
     if not targets:
         raise ValueError("no quantized layers to correct")
 
-    net = net.copy()
-    for layer in net.layers:
-        if layer.bn is not None:
-            layer.bn.mode = "eval"
+    net = net.frozen()
     for i in targets:
-        c = identity_correction(net.layers[i].out_channels, cfg.granularity)
-        net.layers[i].qc_gamma = c.gamma
-        net.layers[i].qc_beta = c.beta
+        size = net.layers[i].out_channels if cfg.granularity == PER_CHANNEL else 1
+        net.layers[i].qc_gamma = np.ones(size)
+        net.layers[i].qc_beta = np.zeros(size)
 
     names = []
     for i in targets:
@@ -110,28 +72,26 @@ def fit_qc(net, calib_x, calib_y, cfg: QCConfig, seed: int = 0):
             adam_step(opt, params, grads)
 
     corrections = {
-        i: CorrectionParams(
-            net.layers[i].qc_gamma.copy(), net.layers[i].qc_beta.copy(), cfg.granularity
-        )
-        for i in targets
+        i: (net.layers[i].qc_gamma.copy(), net.layers[i].qc_beta.copy()) for i in targets
     }
     return net, corrections
 
 
-def absorb_into_bn(c: CorrectionParams, bn: BNParams) -> BNParams:
-    """Merge a correction into the following BN's affine parameters.
+def absorb_into_bn(gamma, beta, bn: BNParams) -> BNParams:
+    """Merge the correction gamma * h + beta into the following BN's
+    affine parameters.
 
     BN(gamma h + beta) == BN'(h) exactly, using the frozen running stats:
     gain' = gain * gamma, bias' = bias + gain * (beta + (gamma - 1) mu) / std.
     """
     if bn.mode != "eval":
         raise RuntimeError("absorption needs frozen (eval mode) batch norm")
-    if c.gamma.size not in (1, bn.channels):
+    if gamma.size not in (1, bn.channels):
         raise ValueError("correction width does not match BN channels")
     std = np.sqrt(bn.running_var + bn.eps)
     out = bn.copy()
-    out.gain = bn.gain * c.gamma
-    out.bias = bn.bias + bn.gain * (c.beta + (c.gamma - 1.0) * bn.running_mean) / std
+    out.gain = bn.gain * gamma
+    out.bias = bn.bias + bn.gain * (beta + (gamma - 1.0) * bn.running_mean) / std
     return out
 
 
@@ -142,8 +102,7 @@ def absorb_corrections(net):
     for layer in net.layers:
         if layer.qc_gamma is None or layer.bn is None:
             continue
-        c = CorrectionParams(layer.qc_gamma, layer.qc_beta)
-        layer.bn = absorb_into_bn(c, layer.bn)
+        layer.bn = absorb_into_bn(layer.qc_gamma, layer.qc_beta, layer.bn)
         layer.qc_gamma = None
         layer.qc_beta = None
     return net

@@ -150,10 +150,7 @@ def attach_quantizers(
 def evaluate(net, x, y, mode: str = "quantized", batch: int = 256, k: float = 0.45) -> dict:
     """Average loss (and accuracy for classifiers) over ``x`` with
     batch-norm in eval mode.  Short final batches are kept."""
-    net = net.copy()
-    for layer in net.layers:
-        if layer.bn is not None:
-            layer.bn.mode = "eval"
+    net = net.frozen()
     x = shape_inputs(x, net.input_shape)
     total, correct, seen = 0.0, 0, 0
     for idx in batches(len(x), batch, drop_last=False):

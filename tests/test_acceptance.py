@@ -35,6 +35,7 @@ from qatlab.network import (
     LayerSpec,
     NetworkSpec,
     _bn_forward,
+    apply_correction,
     backward,
     build_cnn,
     build_mlp,
@@ -45,10 +46,8 @@ from qatlab.network import (
 from qatlab.numeric import Rng
 from qatlab.oscillation import ToyProblem, flip_frequency, run_toy
 from qatlab.qc import (
-    CorrectionParams,
     QCConfig,
     absorb_into_bn,
-    apply_correction,
     fit_qc,
     fold_bn_into_quant_scale,
     fold_network,
@@ -189,7 +188,7 @@ def test_criterion_3_toy_oscillation():
     start = time.perf_counter()
     osc = lower = better = 0
     for seed in range(10):
-        trace, _ = run_toy(ToyProblem(), use_ema=True, rng=Rng(seed))
+        trace, _ = run_toy(ToyProblem(), rng=Rng(seed))
         tail = trace["codes"][-500:]
         etail = trace["ema_codes"][-500:]
         live = (tail[1:] != tail[:-1]).mean(axis=0)
@@ -244,10 +243,9 @@ def test_criterion_5_qc_algebra(tmp_path):
         h = rng.normal((1000, c_dim)) * 3.0 + rng.normal((c_dim,))
         per_tensor = i % 5 == 0
         gdim = 1 if per_tensor else c_dim
-        corr = CorrectionParams(
-            gamma=rng.uniform((gdim,), 0.5, 1.5) * np.where(rng.uniform((gdim,), 0, 1) < 0.1, -1, 1),
-            beta=rng.normal((gdim,)),
-            granularity="per_tensor" if per_tensor else "per_channel",
+        corr = (
+            rng.uniform((gdim,), 0.5, 1.5) * np.where(rng.uniform((gdim,), 0, 1) < 0.1, -1, 1),
+            rng.normal((gdim,)),
         )
         bn = make_bn(c_dim)
         bn.mode = "eval"
@@ -255,8 +253,8 @@ def test_criterion_5_qc_algebra(tmp_path):
         bn.bias = rng.normal((c_dim,))
         bn.running_mean = rng.normal((c_dim,))
         bn.running_var = rng.uniform((c_dim,), 0.1, 4.0)
-        direct = _bn_forward(bn, apply_correction(h, corr), False)[0]
-        merged = _bn_forward(absorb_into_bn(corr, bn), h, False)[0]
+        direct = _bn_forward(bn, apply_correction(h, *corr), False)[0]
+        merged = _bn_forward(absorb_into_bn(*corr, bn), h, False)[0]
         absorb_worst = max(absorb_worst, float(np.abs(direct - merged).max()))
 
     fold_worst = 0.0

@@ -192,6 +192,17 @@ class TestQcFold:
             load_checkpoint(tmp_path / "fold-seed0" / "folded_checkpoint.qat"))
         assert all(l.bn is None for l in folded.layers)
 
+    def test_per_tensor_correction_folds(self, train_run, tmp_path):
+        ckpt = str(train_run / "train-seed0" / "checkpoint.qat")
+        assert main(["qc", "--out", str(tmp_path), "--set", f"checkpoint={ckpt}",
+                     "--set", "qc.granularity=per_tensor"]) == 0
+        qc_ckpt = tmp_path / "qc-seed0" / "qc_checkpoint.qat"
+        corrected, _ = checkpoint_to_network(load_checkpoint(qc_ckpt))
+        assert {l.qc_gamma.shape for l in corrected.layers if l.qc_gamma is not None} == {(1,)}
+        assert main(["fold", "--out", str(tmp_path), "--set", f"checkpoint={qc_ckpt}"]) == 0
+        header, rows = read_csv(tmp_path / "fold-seed0" / "fold_report.csv")
+        assert float(dict(zip(header, rows[0]))["max_abs_output_diff"]) <= 1e-6
+
     def test_fold_refuses_inexact_fold(self, tmp_path):
         """A negative BN gain sends a weight at the lowest code (-4 on the
         3-bit grid) to +4, which clips to +3: the fold changes the outputs,
@@ -349,19 +360,32 @@ class TestReport:
         assert main(["report", "--out", str(tmp_path)] + runs) == 0
         header, rows = read_csv(tmp_path / "report" / "report.csv")
         assert header == ["method", "bits_w", "metric", "runs", "mean", "spread"]
-        assert len(rows) == 1
-        accs = [float(read_manifest(tmp_path / f"train-seed{s}")["final"]["eval_accuracy"])
-                for s in (0, 1)]
-        row = rows[0]
-        assert row[:4] == ["ema", "4", "eval_accuracy", "2"]
-        assert float(row[4]) == pytest.approx(np.mean(accs))
-        assert float(row[5]) == pytest.approx(np.std(accs))
+        # EMA runs record two arms: the live net as plain, the shadows as ema.
+        assert len(rows) == 2
+        finals = [read_manifest(tmp_path / f"train-seed{s}")["final"] for s in (0, 1)]
+        for row, (method, key) in zip(rows, (("plain", "eval_accuracy"),
+                                             ("ema", "ema_eval_accuracy"))):
+            accs = [float(f[key]) for f in finals]
+            assert row[:4] == [method, "4", "eval_accuracy", "2"]
+            assert float(row[4]) == pytest.approx(np.mean(accs))
+            assert float(row[5]) == pytest.approx(np.std(accs))
+
+    def test_dampening_run_gives_one_live_row(self, tmp_path):
+        assert main(["train", "--out", str(tmp_path), "--set", "epochs=1",
+                     "--set", "pretrain_epochs=0", "--set", "dataset.n=200",
+                     "--set", "dampening_lambda=0.1"]) == 0
+        assert main(["report", "--out", str(tmp_path), str(tmp_path / "train-seed0")]) == 0
+        _, rows = read_csv(tmp_path / "report" / "report.csv")
+        final = read_manifest(tmp_path / "train-seed0")["final"]
+        assert [row[:4] for row in rows] == [["dampening", "4", "eval_accuracy", "1"]]
+        assert float(rows[0][4]) == float(final["eval_accuracy"])
 
     def test_missing_runs_are_skipped(self, train_run, tmp_path):
         runs = [str(train_run / "train-seed0"), str(tmp_path / "never-ran")]
         assert main(["report", "--out", str(tmp_path)] + runs) == 0
         _, rows = read_csv(tmp_path / "report" / "report.csv")
-        assert len(rows) == 1 and rows[0][3] == "1"
+        assert [row[0] for row in rows] == ["plain", "ema"]
+        assert all(row[3] == "1" for row in rows)
 
     def test_empty_input_gives_header_only(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 0
@@ -473,6 +497,26 @@ class TestErrors:
         assert "labels_path" in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("where", ["dataset_path", "labels_path", "checkpoint",
+                                       "checkpoint_under_file"])
+    def test_directory_paths(self, tmp_path, capsys, where):
+        """A path that names a directory, or runs through a file, is a bad
+        path: exit 2 with no run directory, like a missing file."""
+        images = tmp_path / "x.idx"
+        images.write_bytes(b"\x00\x00\x08\x03" + struct.pack(">III", 10, 4, 4) + bytes(160))
+        sets = {
+            "dataset_path": ["train", "dataset.kind=csv", f"dataset.path={tmp_path}"],
+            "labels_path": ["train", "dataset.kind=idx", f"dataset.path={images}",
+                            f"dataset.labels_path={tmp_path}"],
+            "checkpoint": ["eval", f"checkpoint={tmp_path}"],
+            "checkpoint_under_file": ["eval", f"checkpoint={images}/x"],
+        }[where]
+        out = tmp_path / "out"
+        argv = [sets[0], "--out", str(out)] + [a for o in sets[1:] for a in ("--set", o)]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_epochs_need_no_batch(self, tmp_path):
         out = tmp_path / "out"
         sets = ["--set", "epochs=0", "--set", "pretrain_epochs=0", "--set", "batch=100000"]
@@ -531,6 +575,7 @@ class TestErrors:
             ({"eval_fraction": 0.0}, "eval rows"),
             ({"dim": 2}, "the network has"),
             ({"kind": "csv", "path": "no-such-dir/d.csv"}, "No such file"),
+            ({"kind": "csv", "path": "."}, "Is a directory"),
         ],
     )
     def test_checkpoint_with_bad_dataset_spec(self, train_run, tmp_path, capsys, change, named):
@@ -693,10 +738,10 @@ class TestSeedPool:
         cpus(n)
         real = cli.run_toy
 
-        def failing(problem, use_ema, rng):
+        def failing(problem, rng):
             if rng.seed in (1, 3):
                 raise RuntimeError(f"toy seed {rng.seed} diverged")
-            return real(problem, use_ema=use_ema, rng=rng)
+            return real(problem, rng=rng)
 
         monkeypatch.setattr(cli, "run_toy", failing)
         assert main(["toy", "--out", str(tmp_path), "--set", "seeds=[0,1,2,3]",
@@ -715,10 +760,10 @@ class TestSeedPool:
             "from qatlab import cli\n"
             "cli.usable_cpus = lambda: 2\n"
             "real, parent = cli.run_toy, os.getpid()\n"
-            "def dying(problem, use_ema, rng):\n"
+            "def dying(problem, rng):\n"
             "    if rng.seed == 1 and os.getpid() != parent:\n"
             "        os._exit(7)\n"
-            "    return real(problem, use_ema=use_ema, rng=rng)\n"
+            "    return real(problem, rng=rng)\n"
             "cli.run_toy = dying\n"
             f"sys.exit(cli.main(['toy', '--out', {str(tmp_path)!r}, '--set', 'seeds=[0,1]',"
             " '--set', 'toy.steps=50']))\n"

@@ -673,6 +673,14 @@ class TestBuilders:
         dup.layers[0].weight += 1.0
         assert not np.allclose(net.layers[0].weight, dup.layers[0].weight)
 
+    def test_frozen_copy_puts_every_bn_in_eval_mode(self):
+        net = build_mlp(3, 2, hidden=(4, 4), rng=Rng(0))
+        frozen = net.frozen()
+        assert [l.bn.mode for l in frozen.layers if l.bn is not None] == ["eval", "eval"]
+        assert [l.bn.mode for l in net.layers if l.bn is not None] == ["train", "train"]
+        frozen.layers[0].bn.running_mean += 1.0
+        assert not net.layers[0].bn.running_mean.any()
+
     def test_parameters_are_live_views(self):
         net = build_mlp(3, 2, hidden=(4,), rng=Rng(0))
         net.parameters()["layer0.weight"][...] = 0.0

@@ -32,7 +32,7 @@ def qx(s, bits=1):
     return QuantizerState(s=np.asarray(float(s)), bits=bits, signed=False)
 
 
-def reference_run_toy(p, use_ema, rng):
+def reference_run_toy(p, rng):
     """The toy loop written with one quantize call per use: each step
     quantizes w three times and x twice, takes w's codes with integer_code,
     rebuilds both quantizers after the update, and rounds each input again
@@ -51,9 +51,7 @@ def reference_run_toy(p, use_ema, rng):
     w = p.w_star.copy()
     tracker = OscillationTracker(window=max(p.steps, 2))
     ema = EMAState(alpha=p.ema_alpha, warmup_iters=int(p.ema_warmup_frac * p.steps))
-    keys = ("w", "q_w", "s_w", "s_x", "loss", "codes")
-    if use_ema:
-        keys += ("ema_w", "ema_s_w", "ema_s_x", "ema_codes")
+    keys = ("w", "q_w", "s_w", "s_x", "loss", "codes", "ema_w", "ema_s_w", "ema_s_x", "ema_codes")
     rows = {k: [] for k in keys}
     for step in range(p.steps):
         x = rng.uniform((p.batch_size,), p.x_lo, p.x_hi)
@@ -68,15 +66,14 @@ def reference_run_toy(p, use_ema, rng):
         rows["s_x"].append(float(q_x.s))
         rows["loss"].append(loss)
         rows["codes"].append(codes)
-        if use_ema:
-            sh_w = ema.shadows.get("w", w)
-            sh_sw = float(ema.shadows.get("s_w", q_w.s))
-            sh_sx = float(ema.shadows.get("s_x", q_x.s))
-            sh_q = QuantizerState(s=np.asarray(sh_sw), bits=p.bits_w, signed=True)
-            rows["ema_w"].append(np.asarray(sh_w).copy())
-            rows["ema_s_w"].append(sh_sw)
-            rows["ema_s_x"].append(sh_sx)
-            rows["ema_codes"].append(integer_code(sh_w, sh_q))
+        sh_w = ema.shadows.get("w", w)
+        sh_sw = float(ema.shadows.get("s_w", q_w.s))
+        sh_sx = float(ema.shadows.get("s_x", q_x.s))
+        sh_q = QuantizerState(s=np.asarray(sh_sw), bits=p.bits_w, signed=True)
+        rows["ema_w"].append(np.asarray(sh_w).copy())
+        rows["ema_s_w"].append(sh_sw)
+        rows["ema_s_x"].append(sh_sx)
+        rows["ema_codes"].append(integer_code(sh_w, sh_q))
         qx = quantize(x, q_x)
         g_w, g_sw = ste(w, q_w, -2.0 / x.size * (qx @ e))
         _, g_sx = ste(x, q_x, -2.0 / x.size * (e @ quantize(w, q_w)))
@@ -87,19 +84,15 @@ def reference_run_toy(p, use_ema, rng):
         q_x = QuantizerState(
             s=np.maximum(q_x.s - p.lr * g_sx, SCALE_FLOOR), bits=p.bits_x, signed=False
         )
-        if use_ema:
-            ema_update(ema, {"w": w, "s_w": q_w.s, "s_x": q_x.s})
+        ema_update(ema, {"w": w, "s_w": q_w.s, "s_x": q_x.s})
     trace = {k: np.asarray(v) for k, v in rows.items()}
     eval_x = rng.child("toy_eval").uniform((4096,), p.x_lo, p.x_hi)
     trace["final_eval_loss"] = toy_objective(w, q_w, q_x, eval_x, p.w_star)
-    if use_ema:
-        sh_q_w = QuantizerState(s=np.asarray(float(ema.shadows["s_w"])), bits=p.bits_w)
-        sh_q_x = QuantizerState(
-            s=np.asarray(float(ema.shadows["s_x"])), bits=p.bits_x, signed=False
-        )
-        trace["final_eval_loss_ema"] = toy_objective(
-            ema.shadows["w"], sh_q_w, sh_q_x, eval_x, p.w_star
-        )
+    sh_q_w = QuantizerState(s=np.asarray(float(ema.shadows["s_w"])), bits=p.bits_w)
+    sh_q_x = QuantizerState(s=np.asarray(float(ema.shadows["s_x"])), bits=p.bits_x, signed=False)
+    trace["final_eval_loss_ema"] = toy_objective(
+        ema.shadows["w"], sh_q_w, sh_q_x, eval_x, p.w_star
+    )
     return trace, tracker
 
 
@@ -268,8 +261,8 @@ class TestRunToy:
 
     def test_same_seed_bit_identical(self):
         p = ToyProblem(steps=400)
-        t1, _ = run_toy(p, use_ema=True, rng=Rng(9))
-        t2, _ = run_toy(p, use_ema=True, rng=Rng(9))
+        t1, _ = run_toy(p, rng=Rng(9))
+        t2, _ = run_toy(p, rng=Rng(9))
         for key in t1:
             np.testing.assert_array_equal(t1[key], t2[key])
 
@@ -285,24 +278,22 @@ class TestRunToy:
         assert (freq > 0.05).any()
 
     @pytest.mark.parametrize("seed", [3, 17])
-    @pytest.mark.parametrize("use_ema", [True, False])
-    def test_bit_identical_to_reference_loop(self, seed, use_ema):
+    def test_bit_identical_to_reference_loop(self, seed):
         p = ToyProblem(steps=300)
-        trace, tracker = run_toy(p, use_ema=use_ema, rng=Rng(seed))
-        ref, ref_tracker = reference_run_toy(p, use_ema, Rng(seed))
+        trace, tracker = run_toy(p, rng=Rng(seed))
+        ref, ref_tracker = reference_run_toy(p, Rng(seed))
         assert trace.keys() == ref.keys()
         for key in ref:
             assert np.array_equal(trace[key], ref[key]), key
         assert np.array_equal(tracker.flip_counts, ref_tracker.flip_counts)
 
-    @pytest.mark.parametrize("use_ema,per_step", [(True, 3), (False, 2)])
-    def test_one_rounding_per_quantizer_per_step(self, rounding_calls, use_ema, per_step):
+    def test_one_rounding_per_quantizer_per_step(self, rounding_calls):
         # Rounds x and w once per step, plus the EMA shadow codes; the
         # difference of a 2-step and a 1-step run leaves out the final eval.
-        run_toy(ToyProblem(steps=1), use_ema=use_ema, rng=Rng(0))
+        run_toy(ToyProblem(steps=1), rng=Rng(0))
         one = len(rounding_calls)
-        run_toy(ToyProblem(steps=2), use_ema=use_ema, rng=Rng(0))
-        assert len(rounding_calls) - one - one == per_step
+        run_toy(ToyProblem(steps=2), rng=Rng(0))
+        assert len(rounding_calls) - one - one == 3
 
     def test_requires_rng(self):
         with pytest.raises(ValueError):
@@ -310,7 +301,7 @@ class TestRunToy:
 
     def test_ema_trace_keys_and_lower_flips(self):
         p = ToyProblem(steps=1500)
-        trace, tracker = run_toy(p, use_ema=True, rng=Rng(1))
+        trace, tracker = run_toy(p, rng=Rng(1))
         for key in ("ema_w", "ema_s_w", "ema_s_x", "ema_codes", "final_eval_loss_ema"):
             assert key in trace
         live = (np.diff(trace["codes"], axis=0) != 0).sum()
@@ -322,7 +313,7 @@ class TestRunToy:
         wins = 0
         for seed in range(5):
             p = ToyProblem(steps=2500)
-            trace, _ = run_toy(p, use_ema=True, rng=Rng(seed))
+            trace, _ = run_toy(p, rng=Rng(seed))
             raw = np.var(trace["s_w"][-500:])
             smooth = np.var(trace["ema_s_w"][-500:])
             wins += smooth <= raw

@@ -3,24 +3,23 @@ import pytest
 
 from qatlab.datasets import gen_classification, gen_regression
 from qatlab.network import (
+    CONV2D,
     DENSE,
     LayerSpec,
     NetworkSpec,
+    apply_correction,
     build_mlp,
     forward,
     make_bn,
 )
 from qatlab.numeric import Rng
 from qatlab.qc import (
-    CorrectionParams,
     QCConfig,
     absorb_corrections,
     absorb_into_bn,
-    apply_correction,
     fit_qc,
     fold_bn_into_quant_scale,
     fold_network,
-    identity_correction,
     qc_ablation,
 )
 from qatlab.quantizer import PER_CHANNEL, PER_TENSOR, init_scale, quantize
@@ -39,40 +38,64 @@ def assert_same(a, b):
 
 
 class TestCorrectionParams:
+    """A correction is the two arrays on LayerSpec, checked there and
+    applied by network.apply_correction."""
+
     def test_identity(self):
-        c = identity_correction(4)
         h = Rng(0).normal((3, 4))
-        np.testing.assert_array_equal(apply_correction(h, c), h)
+        np.testing.assert_array_equal(apply_correction(h, np.ones(4), np.zeros(4)), h)
 
     def test_per_tensor_identity_is_scalar(self):
-        c = identity_correction(4, PER_TENSOR)
-        assert c.gamma.shape == (1,)
+        # One factor shared by all four channels; the identity moves no output.
+        rng = Rng(1)
+        w, b = rng.normal((4, 3)), rng.normal((4,))
+        corrected = LayerSpec(kind=DENSE, weight=w, bias=b, qc_gamma=[1.0], qc_beta=[0.0])
+        assert corrected.qc_gamma.shape == (1,)
+        plain = LayerSpec(kind=DENSE, weight=w, bias=b)
+        x = rng.normal((5, 3))
+        out = [forward(NetworkSpec([l], (3,), "mse"), x, "latent") for l in (plain, corrected)]
+        np.testing.assert_array_equal(out[1], out[0])
 
     def test_apply_per_channel(self):
-        c = CorrectionParams([2.0, -1.0], [0.5, 0.0])
         h = np.array([[1.0, 3.0], [0.0, -2.0]])
         np.testing.assert_allclose(
-            apply_correction(h, c), [[2.5, -3.0], [0.5, 2.0]]
+            apply_correction(h, np.array([2.0, -1.0]), np.array([0.5, 0.0])),
+            [[2.5, -3.0], [0.5, 2.0]],
         )
 
     def test_apply_conv_layout(self):
-        c = CorrectionParams([2.0, 3.0], [0.0, 1.0])
         h = np.ones((1, 2, 2, 2))
-        out = apply_correction(h, c)
+        out = apply_correction(h, np.array([2.0, 3.0]), np.array([0.0, 1.0]))
         np.testing.assert_array_equal(out[0, 0], np.full((2, 2), 2.0))
         np.testing.assert_array_equal(out[0, 1], np.full((2, 2), 4.0))
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channels"):
-            apply_correction(np.ones((2, 3)), CorrectionParams([1.0, 1.0], [0.0, 0.0]))
+            apply_correction(np.ones((2, 3)), np.ones(2), np.zeros(2))
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            CorrectionParams([1.0, 2.0], [0.0])
-        with pytest.raises(ValueError):
-            CorrectionParams([1.0, 2.0], [0.0, 0.0], granularity=PER_TENSOR)
-        with pytest.raises(ValueError):
-            CorrectionParams([1.0], [0.0], granularity="per_row")
+        def layer(gamma, beta):
+            return LayerSpec(kind=DENSE, weight=np.ones((3, 2)), bias=np.zeros(3),
+                             qc_gamma=gamma, qc_beta=beta)
+
+        with pytest.raises(ValueError, match="shapes must match"):
+            layer([1.0, 2.0, 3.0], [0.0])
+        with pytest.raises(ValueError, match="per-tensor or per-channel"):
+            layer([1.0, 2.0], [0.0, 0.0])
+        for gamma, beta in (([1.0, 1.0, 1.0], None), (None, [0.0])):
+            with pytest.raises(ValueError, match="set together"):
+                layer(gamma, beta)
+
+    @pytest.mark.parametrize("kind, weight", [(DENSE, (3, 2)), (CONV2D, (3, 2, 1, 1))])
+    def test_forward_applies_it_after_the_linear_op(self, kind, weight):
+        rng = Rng(2)
+        layer = LayerSpec(kind=kind, weight=rng.normal(weight), bias=rng.normal((3,)))
+        shape = (2,) if kind == DENSE else (2, 2, 2)
+        x = rng.normal((4, *shape))
+        h = forward(NetworkSpec([layer], shape, "mse"), x, "latent")
+        layer.qc_gamma, layer.qc_beta = rng.normal((3,)), rng.normal((3,))
+        out = forward(NetworkSpec([layer], shape, "mse"), x, "latent")
+        np.testing.assert_array_equal(out, apply_correction(h, layer.qc_gamma, layer.qc_beta))
 
 
 def quantized_blob_net(seed=0, bits=3):
@@ -126,40 +149,37 @@ class TestFitQC:
         corrected, params = fit_qc(net, x, y, QCConfig(lr=0.05, batch=8))
         out = forward(corrected, x, "quantized")
         assert np.mean((out - y) ** 2) < 1e-3
-        np.testing.assert_allclose(params[0].gamma, [1.5, 1.5], atol=0.05)
-        np.testing.assert_allclose(params[0].beta, [0.25, -0.4], atol=0.05)
+        gamma, beta = params[0]
+        np.testing.assert_allclose(gamma, [1.5, 1.5], atol=0.05)
+        np.testing.assert_allclose(beta, [0.25, -0.4], atol=0.05)
 
     def test_scale_only(self):
         d, qnet = quantized_blob_net()
         corrected, params = fit_qc(
             qnet, d.calib_x, d.calib_y, QCConfig(lr=0.01, use_shift=False)
         )
-        for c in params.values():
-            assert not c.beta.any()
-            assert (c.gamma != 1.0).any()
+        for gamma, beta in params.values():
+            assert not beta.any()
+            assert (gamma != 1.0).any()
 
     def test_shift_only(self):
         d, qnet = quantized_blob_net()
         _, params = fit_qc(
             qnet, d.calib_x, d.calib_y, QCConfig(lr=0.01, use_scale=False)
         )
-        for c in params.values():
-            assert (c.gamma == 1.0).all()
-            assert c.beta.any()
+        for gamma, beta in params.values():
+            assert (gamma == 1.0).all()
+            assert beta.any()
 
     def test_neither_toggle_is_identity(self):
         d, qnet = quantized_blob_net()
         corrected, params = fit_qc(
             qnet, d.calib_x, d.calib_y, QCConfig(use_scale=False, use_shift=False)
         )
-        for c in params.values():
-            assert (c.gamma == 1.0).all() and not c.beta.any()
+        for gamma, beta in params.values():
+            assert (gamma == 1.0).all() and not beta.any()
         a = forward(corrected, d.calib_x[:16], "quantized")
-        qev = qnet.copy()
-        for l in qev.layers:
-            if l.bn is not None:
-                l.bn.mode = "eval"
-        b = forward(qev, d.calib_x[:16], "quantized")
+        b = forward(qnet.frozen(), d.calib_x[:16], "quantized")
         np.testing.assert_array_equal(a, b)
 
     def test_per_tensor_granularity(self):
@@ -167,16 +187,15 @@ class TestFitQC:
         _, params = fit_qc(
             qnet, d.calib_x, d.calib_y, QCConfig(granularity=PER_TENSOR)
         )
-        for c in params.values():
-            assert c.gamma.shape == (1,)
+        for gamma, beta in params.values():
+            assert gamma.shape == beta.shape == (1,)
 
     def test_deterministic(self):
         d, qnet = quantized_blob_net()
         _, pa = fit_qc(qnet, d.calib_x, d.calib_y, QCConfig(lr=0.01), seed=7)
         _, pb = fit_qc(qnet, d.calib_x, d.calib_y, QCConfig(lr=0.01), seed=7)
         for i in pa:
-            np.testing.assert_array_equal(pa[i].gamma, pb[i].gamma)
-            np.testing.assert_array_equal(pa[i].beta, pb[i].beta)
+            np.testing.assert_array_equal(pa[i], pb[i])
 
     def test_every_quantized_layer_corrected(self):
         d, qnet = quantized_blob_net()
@@ -197,11 +216,11 @@ class TestAbsorb:
     def test_exact_algebra_per_channel(self):
         rng = Rng(3)
         bn = self._bn(5, rng)
-        c = CorrectionParams(rng.normal((5,)) + 1.0, rng.normal((5,)))
+        gamma, beta = rng.normal((5,)) + 1.0, rng.normal((5,))
         h = rng.normal((200, 5))
         std = np.sqrt(bn.running_var + bn.eps)
-        direct = bn.gain * (apply_correction(h, c) - bn.running_mean) / std + bn.bias
-        merged = absorb_into_bn(c, bn)
+        direct = bn.gain * (apply_correction(h, gamma, beta) - bn.running_mean) / std + bn.bias
+        merged = absorb_into_bn(gamma, beta, bn)
         absorbed = merged.gain * (h - merged.running_mean) / np.sqrt(
             merged.running_var + merged.eps
         ) + merged.bias
@@ -210,24 +229,24 @@ class TestAbsorb:
     def test_exact_algebra_per_tensor(self):
         rng = Rng(4)
         bn = self._bn(3, rng)
-        c = CorrectionParams([1.7], [-0.3], PER_TENSOR)
+        gamma, beta = np.array([1.7]), np.array([-0.3])
         h = rng.normal((50, 3))
         std = np.sqrt(bn.running_var + bn.eps)
-        direct = bn.gain * (apply_correction(h, c) - bn.running_mean) / std + bn.bias
-        merged = absorb_into_bn(c, bn)
+        direct = bn.gain * (apply_correction(h, gamma, beta) - bn.running_mean) / std + bn.bias
+        merged = absorb_into_bn(gamma, beta, bn)
         absorbed = merged.gain * (h - merged.running_mean) / std + merged.bias
         np.testing.assert_allclose(absorbed, direct, atol=1e-10)
 
     def test_train_mode_rejected(self):
         bn = make_bn(2)
         with pytest.raises(RuntimeError, match="eval"):
-            absorb_into_bn(identity_correction(2), bn)
+            absorb_into_bn(np.ones(2), np.zeros(2), bn)
 
     def test_width_mismatch(self):
         bn = make_bn(3)
         bn.mode = "eval"
         with pytest.raises(ValueError, match="width|channels"):
-            absorb_into_bn(identity_correction(2), bn)
+            absorb_into_bn(np.ones(2), np.zeros(2), bn)
 
     def test_absorb_corrections_network(self):
         d, qnet = quantized_blob_net(seed=5)
@@ -335,10 +354,7 @@ class TestFold:
 
     def test_fold_network_end_to_end(self):
         d, qnet = quantized_blob_net(seed=6)
-        qnet = qnet.copy()
-        for l in qnet.layers:
-            if l.bn is not None:
-                l.bn.mode = "eval"
+        qnet = qnet.frozen()
         x = d.eval_x[:48]
         before = forward(qnet, x, "quantized")
         folded = fold_network(qnet)

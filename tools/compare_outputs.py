@@ -1,0 +1,86 @@
+"""Check that two qatlab source trees write the same bytes.
+
+    python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE
+
+Makes the benchmark's workload calls (``perfbench/workloads.py``) for
+cnn_trend, mlp_wide and toy at workload seeds 0-2 with each tree's
+``qatlab.cli``, one subprocess per call, with PYTHONPATH=<tree>/src and
+OMP_NUM_THREADS=1.  Both trees write into the same output path, since the
+checkpoints record it.  Every file the calls leave, except the manifests
+(they hold wall times), is hashed with sha256.  Each file that differs or
+exists in one tree only is printed, and so is each call that fails; the
+exit status is 1 if there is any, else 0.
+"""
+
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
+
+WORKLOADS = ("cnn_trend", "mlp_wide", "toy")
+SEEDS = (0, 1, 2)
+
+
+def run_tree(tree: Path, out: Path) -> tuple:
+    """Make every workload call with ``tree``'s CLI under ``out``; returns
+    ({relative path: sha256} of the files left there, [failed calls])."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1"}
+    failed = []
+    for name in WORKLOADS:
+        for seed in SEEDS:
+            for call in workloads.WORKLOADS[name](seed, str(out / f"{name}-{seed}")):
+                proc = subprocess.run([sys.executable, "-m", "qatlab.cli", *call["argv"]],
+                                      cwd=tree, env=env, capture_output=True, text=True)
+                if proc.returncode != 0:
+                    failed.append(f"{name} seed {seed} {call['task']}: exit {proc.returncode}"
+                                  f" {proc.stderr.strip()[-300:]}")
+    digests = {
+        str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+    return digests, failed
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 2
+    trees = [Path(t).resolve() for t in argv]
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as work:
+        out = Path(work) / "out"
+        for tree in trees:
+            runs.append(run_tree(tree, out))
+            shutil.rmtree(out, ignore_errors=True)
+    (parent, parent_failed), (change, change_failed) = runs
+    bad = 0
+    for label, failed in (("parent", parent_failed), ("change", change_failed)):
+        for line in failed:
+            print(f"call failed in {label}: {line}")
+            bad += 1
+    for path in sorted(parent.keys() | change.keys()):
+        if path not in change:
+            print(f"only in parent: {path}")
+        elif path not in parent:
+            print(f"only in change: {path}")
+        elif parent[path] != change[path]:
+            print(f"differs: {path}")
+        else:
+            continue
+        bad += 1
+    print(f"compared {len(parent.keys() & change.keys())} files;"
+          f" {bad} difference(s) or failed call(s)")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
