@@ -3,17 +3,24 @@
 Layout: 8-byte magic, little-endian uint64 header length, canonical JSON
 header, then the tensor blob.  Every tensor entry carries its sha256 so a
 truncated or corrupted file fails loudly and names the bad tensor.
+
+A network's topology is read off its dataclasses: each entry holds the
+constructor fields that are not arrays (the arrays are tensors), and on
+load those values are type-checked against the field annotations.
 """
 
 import hashlib
 import json
+import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
+from .config import _check_types
 from .ema import EMAState
 from .network import BNParams, LayerSpec, NetworkSpec
 from .quantizer import QuantizerState
@@ -22,7 +29,14 @@ MAGIC = b"QATLAB01"
 FORMAT_VERSION = 1
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
-_ENTRY_KEYS = ("name", "dtype", "shape", "offset", "nbytes", "sha256")
+_ENTRY_TYPES = {
+    "name": str,
+    "dtype": str,
+    "shape": tuple[int, ...],
+    "offset": int,
+    "nbytes": int,
+    "sha256": str,
+}
 
 
 @dataclass
@@ -125,27 +139,36 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(header.get("config", {}), dict):
         raise ValueError(f"{path}: header 'config' is not an object")
     version = header.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(
             f"{path}: format version {version} not supported (expected {FORMAT_VERSION})"
         )
     body = buf[pos:]
-    tensors = {}
+    # The tensors lie in table order, none overlapping, and the last one ends
+    # the file.
+    tensors, end = {}, 0
     for entry in header["tensors"]:
-        missing = [k for k in _ENTRY_KEYS if not isinstance(entry, dict) or k not in entry]
+        missing = [k for k in _ENTRY_TYPES if not isinstance(entry, dict) or k not in entry]
         if missing:
             raise ValueError(f"{path}: tensor entry {entry!r} has no {missing}")
-        name = entry["name"]
-        start, nbytes = entry["offset"], entry["nbytes"]
+        name, shape, start, nbytes = entry["name"], entry["shape"], entry["offset"], entry["nbytes"]
+        _check_types(f"{path}: tensor {name!r} ", entry, _ENTRY_TYPES)
+        dtype = _DTYPES.get(entry["dtype"])
+        if dtype is None:
+            raise ValueError(f"{path}: tensor {name!r} has unknown dtype {entry['dtype']}")
+        if min(shape, default=0) < 0 or nbytes != math.prod(shape) * dtype.itemsize:
+            raise ValueError(f"{path}: tensor {name!r} of shape {shape} cannot hold {nbytes} bytes")
+        if start < end:
+            raise ValueError(f"{path}: tensor {name!r} starts at {start}, before {end}")
         raw = body[start : start + nbytes]
         if len(raw) != nbytes:
             raise ValueError(f"{path}: truncated data for tensor {name!r}")
         if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
             raise ValueError(f"{path}: checksum mismatch for tensor {name!r}")
-        dtype = _DTYPES.get(entry["dtype"])
-        if dtype is None:
-            raise ValueError(f"{path}: tensor {name!r} has unknown dtype {entry['dtype']}")
-        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
+        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        end = start + nbytes
+    if len(body) != end:
+        raise ValueError(f"{path}: {len(body) - end} bytes follow the last tensor")
     return Checkpoint(
         tensors=tensors,
         topology=header.get("topology", {}),
@@ -154,52 +177,53 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
-def _quant_meta(q):
-    if q is None:
-        return None
+def _topology_fields(cls) -> dict:
+    """Name -> annotation of the constructor fields of dataclass ``cls``
+    that the topology holds: all but the arrays, which are tensors."""
+    hints = get_type_hints(cls)
     return {
-        "bits": q.bits,
-        "signed": q.signed,
-        "granularity": q.granularity,
-        "axis": q.axis,
+        f.name: hints[f.name]
+        for f in fields(cls)
+        if f.init and hints[f.name] not in (np.ndarray, dict[str, np.ndarray])
     }
+
+
+def _entry(obj, **given) -> dict:
+    """``obj``'s topology entry: its ``_topology_fields``, each dataclass
+    value an entry of its own, then the ``given`` keys."""
+    entry = {}
+    for name in _topology_fields(type(obj)):
+        value = getattr(obj, name)
+        entry[name] = _entry(value) if is_dataclass(value) else value
+    return {**entry, **given}
+
+
+def _read(cls, entry, take, prefix, **given):
+    """``cls`` rebuilt from its topology ``entry``: each field ``given`` as
+    passed, each other array as ``take("<prefix>.<name>")``, and the rest
+    from ``entry``, type-checked against their annotations.  Keys of
+    ``entry`` that are no field are ignored."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"malformed checkpoint topology: {prefix} is {entry!r}")
+    types = _topology_fields(cls)
+    values = {
+        f.name: entry[f.name] if f.name in types else take(f"{prefix}.{f.name}")
+        for f in fields(cls)
+        if f.init and f.name not in given
+    }
+    _check_types(f"{prefix}.", values, types)
+    return cls(**values, **given)
 
 
 def network_to_checkpoint(net: NetworkSpec, config=None, ema: EMAState = None) -> Checkpoint:
-    """Capture a network (and optionally its EMA shadows) as a checkpoint."""
-    layers = []
-    for layer in net.layers:
-        layers.append(
-            {
-                "kind": layer.kind,
-                "nonlinearity": layer.nonlinearity,
-                "stride": layer.stride,
-                "pad": layer.pad,
-                "w_quant": _quant_meta(layer.w_quant),
-                "a_quant": _quant_meta(layer.a_quant),
-                "bn": None
-                if layer.bn is None
-                else {
-                    "momentum": layer.bn.momentum,
-                    "eps": layer.bn.eps,
-                    "mode": layer.bn.mode,
-                },
-                "qc": layer.qc_gamma is not None,
-            }
-        )
-    topology = {
-        "input_shape": list(net.input_shape),
-        "loss": net.loss,
-        "layers": layers,
-    }
-    if ema is not None:
-        topology["ema"] = {
-            "alpha": ema.alpha,
-            "warmup_iters": ema.warmup_iters,
-            "iter": ema.iter,
-        }
+    """Capture a network (and optionally its EMA shadows) as a checkpoint.
+    The topology holds each dataclass's ``_topology_fields``, plus a ``qc``
+    flag per layer; the arrays are tensors named as in ``state_arrays``."""
+    layers = [_entry(layer, qc=layer.qc_gamma is not None) for layer in net.layers]
+    topology = _entry(net, layers=layers)
     tensors = {name: arr.copy() for name, arr in net.state_arrays().items()}
     if ema is not None:
+        topology["ema"] = _entry(ema)
         for name, arr in ema.shadows.items():
             tensors[f"ema.{name}"] = arr.copy()
     return Checkpoint(tensors=tensors, topology=topology, config=dict(config or {}))
@@ -208,7 +232,9 @@ def network_to_checkpoint(net: NetworkSpec, config=None, ema: EMAState = None) -
 def checkpoint_to_network(ckpt: Checkpoint):
     """Rebuild ``(net, ema_state)`` from a checkpoint.  ``ema_state`` is
     None when the checkpoint carries no shadows.  A topology key or tensor
-    that the checkpoint lacks, or a malformed topology, raises ValueError."""
+    that the checkpoint lacks, a value of the wrong type or out of range, a
+    tensor that no field takes, or shadows that do not match the network's
+    parameters raise ValueError."""
     try:
         return _rebuild(ckpt.topology, ckpt.tensors)
     except KeyError as exc:
@@ -217,63 +243,43 @@ def checkpoint_to_network(ckpt: Checkpoint):
         raise ValueError(f"malformed checkpoint topology: {exc}") from None
 
 
-def _rebuild(topo, t):
+def _rebuild(topo, tensors):
+    left = dict(tensors)  # what no field has taken yet
+
+    def take(name):
+        arr = left.pop(name)
+        if arr.dtype.kind != "f":
+            raise ValueError(f"tensor {name!r} holds {arr.dtype}, not floats")
+        return arr
+
+    def quant(entry, where, scale):
+        return None if entry is None else _read(QuantizerState, entry, take, where, s=take(scale))
+
     layers = []
-    for i, meta in enumerate(topo["layers"]):
+    for i, entry in enumerate(topo["layers"]):
         p = f"layer{i}"
-
-        def quant(field_name, scale_key):
-            m = meta[field_name]
-            if m is None:
-                return None
-            return QuantizerState(
-                s=t[scale_key],
-                bits=m["bits"],
-                signed=m["signed"],
-                granularity=m["granularity"],
-                axis=m["axis"],
-            )
-
-        bn = None
-        if meta["bn"] is not None:
-            bn = BNParams(
-                gain=t[f"{p}.bn.gain"],
-                bias=t[f"{p}.bn.bias"],
-                running_mean=t[f"{p}.bn.running_mean"],
-                running_var=t[f"{p}.bn.running_var"],
-                momentum=meta["bn"]["momentum"],
-                eps=meta["bn"]["eps"],
-                mode=meta["bn"]["mode"],
-            )
+        bn = entry["bn"]
+        _check_types(f"{p}.", {"qc": entry["qc"]}, {"qc": bool})
         layers.append(
-            LayerSpec(
-                kind=meta["kind"],
-                weight=t[f"{p}.weight"],
-                bias=t[f"{p}.bias"],
-                w_quant=quant("w_quant", f"{p}.w_scale"),
-                a_quant=quant("a_quant", f"{p}.a_scale"),
-                bn=bn,
-                nonlinearity=meta["nonlinearity"],
-                stride=meta["stride"],
-                pad=meta["pad"],
-                qc_gamma=t.get(f"{p}.qc_gamma") if meta["qc"] else None,
-                qc_beta=t.get(f"{p}.qc_beta") if meta["qc"] else None,
+            _read(
+                LayerSpec,
+                entry,
+                take,
+                p,
+                w_quant=quant(entry["w_quant"], f"{p}.w_quant", f"{p}.w_scale"),
+                a_quant=quant(entry["a_quant"], f"{p}.a_quant", f"{p}.a_scale"),
+                bn=None if bn is None else _read(BNParams, bn, take, f"{p}.bn"),
+                **({} if entry["qc"] else {"qc_gamma": None, "qc_beta": None}),
             )
         )
-    net = NetworkSpec(
-        layers=layers, input_shape=tuple(topo["input_shape"]), loss=topo["loss"]
-    )
+    net = _read(NetworkSpec, topo, take, "topology", layers=layers)
     ema = None
     if "ema" in topo:
-        shadows = {
-            name[len("ema.") :]: arr.copy()
-            for name, arr in t.items()
-            if name.startswith("ema.")
-        }
-        ema = EMAState(
-            alpha=topo["ema"]["alpha"],
-            warmup_iters=topo["ema"]["warmup_iters"],
-            iter=topo["ema"]["iter"],
-            shadows=shadows,
-        )
+        shadows = {name[len("ema.") :]: take(name) for name in tensors if name.startswith("ema.")}
+        ema = _read(EMAState, topo["ema"], take, "ema", shadows=shadows)
+        shapes = {name: arr.shape for name, arr in net.parameters().items()}
+        if shadows and {name: arr.shape for name, arr in shadows.items()} != shapes:
+            raise ValueError("the EMA shadows do not match the network's parameters")
+    if left:
+        raise ValueError(f"checkpoint tensors {sorted(left)} belong to no field")
     return net, ema

@@ -12,6 +12,7 @@ from typing import Literal, get_args, get_origin
 from .datasets import BUILDERS
 from .oscillation import ToyProblem
 from .qc import QCConfig
+from .quantizer import SoftRoundConfig
 from .training import TrainConfig
 
 # The ema, qc and toy sections are the fields of the dataclass built from each
@@ -93,6 +94,7 @@ class ExperimentConfig:
         _build("toy section", self.toy_problem)
         _build("qc section", self.qc_config)
         _build("training settings", self.train_config)
+        _build("soft_round_k", lambda: SoftRoundConfig(k=self.soft_round_k))
 
     def toy_problem(self) -> ToyProblem:
         return ToyProblem(**self.toy)
@@ -133,6 +135,7 @@ _TYPE_CHECKS = {
     bool: (lambda v: isinstance(v, bool), "true or false"),
     str: (lambda v: isinstance(v, str), "a string"),
     str | None: (lambda v: v is None or isinstance(v, str), "a string or null"),
+    int | None: (lambda v: v is None or _is_int(v), "an integer or null"),
     tuple[int, ...]: (
         lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
         "a list of integers",

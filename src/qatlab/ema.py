@@ -20,7 +20,7 @@ class EMAState(LaidOutState):
     alpha: float
     warmup_iters: int = 0
     iter: int = 0
-    shadows: dict = field(default_factory=dict)  # read-only after the first update
+    shadows: dict[str, np.ndarray] = field(default_factory=dict)  # read-only after the first update
     _flat: "_FlatShadows" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -29,7 +29,9 @@ reference, except with a 1x1 output map: there the reference reduces
 differ from it in the last bit.
 """
 
-from dataclasses import dataclass, field as dc_field
+import math
+from copy import deepcopy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,27 +63,26 @@ class BNParams:
     def __post_init__(self):
         for name in ("gain", "bias", "running_mean", "running_var"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if self.gain.ndim != 1:
+        if self.gain.ndim != 1 or any(
+            getattr(self, n).shape != self.gain.shape
+            for n in ("bias", "running_mean", "running_var")
+        ):
             raise ValueError("BN parameters must be per-channel vectors")
         if not (self.running_var >= 0).all():
             raise ValueError("running_var must be non-negative")
         if self.mode not in ("train", "eval"):
             raise ValueError(f"unknown BN mode {self.mode!r}")
+        # eps = 0 is exact for folding, but only where no variance is 0.
+        if not self.eps >= 0 or not (self.running_var + self.eps > 0).all():
+            raise ValueError(f"BN eps must be >= 0, and > 0 where running_var is 0, got {self.eps}")
+        if not 0 <= self.momentum <= 1:
+            raise ValueError(f"BN momentum must lie in [0, 1], got {self.momentum}")
 
     @property
     def channels(self) -> int:
         return self.gain.shape[0]
 
-    def copy(self) -> "BNParams":
-        return BNParams(
-            gain=self.gain.copy(),
-            bias=self.bias.copy(),
-            running_mean=self.running_mean.copy(),
-            running_var=self.running_var.copy(),
-            momentum=self.momentum,
-            eps=self.eps,
-            mode=self.mode,
-        )
+    copy = deepcopy  # every array copied, nothing shared with the original
 
 
 def make_bn(channels: int, momentum: float = 0.1, eps: float = 1e-5) -> BNParams:
@@ -131,6 +132,8 @@ class LayerSpec:
             raise ValueError("bias shape must match output channels")
         if self.nonlinearity not in ("relu", "silu", "none"):
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
+        if self.stride < 1 or self.pad < 0:
+            raise ValueError(f"stride must be >= 1 and pad >= 0, got {self.stride} and {self.pad}")
         if self.bn is not None and self.bn.channels != self.out_channels:
             raise ValueError("BN channel count must match output channels")
         if self.w_quant is not None and self.w_quant.axis not in (None, 0):
@@ -147,39 +150,41 @@ class LayerSpec:
     def out_channels(self) -> int:
         return self.weight.shape[0]
 
-    def copy(self) -> "LayerSpec":
-        return LayerSpec(
-            kind=self.kind,
-            weight=self.weight.copy(),
-            bias=self.bias.copy(),
-            w_quant=self.w_quant.copy() if self.w_quant is not None else None,
-            a_quant=self.a_quant.copy() if self.a_quant is not None else None,
-            bn=self.bn.copy() if self.bn is not None else None,
-            nonlinearity=self.nonlinearity,
-            stride=self.stride,
-            pad=self.pad,
-            qc_gamma=None if self.qc_gamma is None else self.qc_gamma.copy(),
-            qc_beta=None if self.qc_beta is None else self.qc_beta.copy(),
-        )
+    def output_shape(self, shape: tuple) -> tuple:
+        """The shape of one sample's output from one of ``shape``; a
+        ValueError if the layer cannot take such a sample."""
+        if self.kind == DENSE:
+            if math.prod(shape) != self.weight.shape[1]:
+                raise ValueError(f"dense layer takes {self.weight.shape[1]} features, not {shape}")
+            return (self.out_channels,)
+        channels = self.out_channels if self.kind == DEPTHWISE else self.weight.shape[1]
+        if len(shape) != 3 or shape[0] != channels:
+            raise ValueError(f"{self.kind} layer takes {channels} channels of HxW, not {shape}")
+        kernel = self.weight.shape[2:]
+        out = [(n + 2 * self.pad - k) // self.stride + 1 for n, k in zip(shape[1:], kernel)]
+        if min(out) < 1:
+            raise ValueError(f"kernel {kernel} does not fit input {shape} (pad {self.pad})")
+        return (self.out_channels, *out)
+
+    copy = deepcopy
 
 
 @dataclass
 class NetworkSpec:
     layers: list
-    input_shape: tuple
+    input_shape: tuple[int, ...]
     loss: str = "softmax_ce"
 
     def __post_init__(self):
-        self.input_shape = tuple(self.input_shape)
+        self.input_shape = shape = tuple(self.input_shape)
         if self.loss not in ("mse", "softmax_ce"):
             raise ValueError(f"unknown loss {self.loss!r}")
+        if not self.layers or not self.input_shape or min(self.input_shape) < 1:
+            raise ValueError(f"a network needs layers and a positive input_shape, got {shape}")
+        for layer in self.layers:
+            shape = layer.output_shape(shape)
 
-    def copy(self) -> "NetworkSpec":
-        return NetworkSpec(
-            layers=[l.copy() for l in self.layers],
-            input_shape=self.input_shape,
-            loss=self.loss,
-        )
+    copy = deepcopy
 
     def frozen(self) -> "NetworkSpec":
         """A copy with every batch norm in eval mode (running statistics)."""
@@ -406,11 +411,6 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
     return a
 
 
-def _add(grads, name, g):
-    if name in grads:
-        grads[name] += g
-
-
 def backward(net: NetworkSpec, cache, loss_grad, wanted=None):
     """Gradients for the entries of net.parameters() named in ``wanted``
     (every entry when None), chained through all layers.
@@ -427,11 +427,9 @@ def backward(net: NetworkSpec, cache, loss_grad, wanted=None):
         raise RuntimeError("backward needs the cache from forward(cache=True)")
     if cache["mode"] == "soft_round":
         raise RuntimeError("no backward path for the soft_round diagnostic")
-    grads = {
-        name: np.zeros_like(p)
-        for name, p in net.parameters().items()
-        if wanted is None or name in wanted
-    }
+    params = net.parameters()
+    want = set(params if wanted is None else wanted)
+    grads = {}
     quantized = cache["mode"] == "quantized"
     d = np.asarray(loss_grad, dtype=np.float64)
     for i in reversed(range(len(net.layers))):
@@ -440,28 +438,28 @@ def backward(net: NetworkSpec, cache, loss_grad, wanted=None):
         p = f"layer{i}"
         quant_w = layer.w_quant is not None and quantized
         quant_a = layer.a_quant is not None and quantized
-        need_w = f"{p}.weight" in grads or (quant_w and f"{p}.w_scale" in grads)
+        need_w = f"{p}.weight" in want or (quant_w and f"{p}.w_scale" in want)
         d = d * ctx["nonlin_grad"]
         if layer.bn is not None:
-            bn_grads = f"{p}.bn.gain" in grads or f"{p}.bn.bias" in grads
+            bn_grads = f"{p}.bn.gain" in want or f"{p}.bn.bias" in want
             d, dgain, dbias = _bn_backward(layer.bn, ctx["bn_ctx"], d, bn_grads)
-            _add(grads, f"{p}.bn.gain", dgain)
-            _add(grads, f"{p}.bn.bias", dbias)
+            grads[f"{p}.bn.gain"] = dgain
+            grads[f"{p}.bn.bias"] = dbias
         if layer.qc_gamma is not None:
-            if f"{p}.qc_gamma" in grads or f"{p}.qc_beta" in grads:
+            if f"{p}.qc_gamma" in want or f"{p}.qc_beta" in want:
                 caxes = tuple(j for j in range(d.ndim) if j != 1)
                 dgam = (d * ctx["h_lin"]).sum(axis=caxes)
                 dbet = d.sum(axis=caxes)
                 if layer.qc_gamma.size == 1:
                     dgam = dgam.sum().reshape(layer.qc_gamma.shape)
                     dbet = dbet.sum().reshape(layer.qc_beta.shape)
-                _add(grads, f"{p}.qc_gamma", dgam)
-                _add(grads, f"{p}.qc_beta", dbet)
+                grads[f"{p}.qc_gamma"] = dgam
+                grads[f"{p}.qc_beta"] = dbet
             cshape = [1] * d.ndim
             cshape[1] = layer.qc_gamma.size
             d = d * layer.qc_gamma.reshape(cshape)
-        if f"{p}.bias" in grads:
-            grads[f"{p}.bias"] += d.sum(axis=0 if layer.kind == DENSE else (0, 2, 3))
+        if f"{p}.bias" in want:
+            grads[f"{p}.bias"] = d.sum(axis=0 if layer.kind == DENSE else (0, 2, 3))
         if need_w:
             if layer.kind == DENSE:
                 g_w = d.T @ ctx["a_used"]
@@ -469,19 +467,24 @@ def backward(net: NetworkSpec, cache, loss_grad, wanted=None):
                 g_w = _conv_weight_grad(layer.kind, d, ctx["cols"])
             if quant_w:
                 g_w, g_s = quantize_backward(ctx["w_round"], layer.w_quant, g_w)
-                _add(grads, f"{p}.w_scale", g_s)
-            _add(grads, f"{p}.weight", g_w)
+                grads[f"{p}.w_scale"] = g_s
+            grads[f"{p}.weight"] = g_w
         if layer.kind == DENSE:
             d_a_used = d @ ctx["w_used"]
         else:
             d_a_used = _conv_input_grad(layer, d, ctx)
         if quant_a:
             d_a_in, g_s = quantize_backward(ctx["a_round"], layer.a_quant, d_a_used)
-            _add(grads, f"{p}.a_scale", g_s)
+            grads[f"{p}.a_scale"] = g_s
         else:
             d_a_in = d_a_used
         d = d_a_in.reshape(ctx["orig_shape"])
-    return grads
+    # An entry no layer wrote (a quantizer scale in latent mode) is zero.
+    return {
+        name: grads[name] if name in grads else np.zeros_like(p)
+        for name, p in params.items()
+        if name in want
+    }
 
 
 def _conv_weight_grad(kind, d, cols):

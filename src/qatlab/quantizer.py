@@ -17,6 +17,7 @@ downstream determinism guarantee depends on one fixed choice.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -52,8 +53,9 @@ def round_half_away(z: np.ndarray) -> np.ndarray:
 
 
 def integer_range(bits: int, signed: bool) -> tuple[int, int]:
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
+    # Codes are float64, which holds every integer up to 2**53 exactly.
+    if not 1 <= bits <= 53:
+        raise ValueError(f"bits must be in [1, 53], got {bits}")
     if signed:
         return -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
     return 0, 2**bits - 1
@@ -80,8 +82,8 @@ class QuantizerState:
         self.s = np.asarray(self.s, dtype=np.float64)
         self.u, self.v = integer_range(self.bits, self.signed)
         if self.granularity == PER_TENSOR:
-            if self.s.ndim != 0:
-                raise ValueError("per-tensor quantizer needs a scalar scale")
+            if self.s.ndim != 0 or self.axis is not None:
+                raise ValueError("per-tensor quantizer needs a scalar scale and no axis")
         elif self.granularity == PER_CHANNEL:
             if self.s.ndim != 1:
                 raise ValueError("per-channel quantizer needs a 1-d scale vector")
@@ -105,14 +107,7 @@ class QuantizerState:
         shape[self.axis] = self.s.shape[0]
         return self.s.reshape(shape)
 
-    def copy(self) -> "QuantizerState":
-        return QuantizerState(
-            s=self.s.copy(),
-            bits=self.bits,
-            signed=self.signed,
-            granularity=self.granularity,
-            axis=self.axis,
-        )
+    copy = deepcopy
 
 
 @dataclass

@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,9 +12,10 @@ from qatlab.checkpoint import (
     save_checkpoint,
 )
 from qatlab.datasets import gen_classification
-from qatlab.network import build_mlp, forward
+from qatlab.ema import EMAState, ema_update
+from qatlab.network import build_cnn, build_mlp, forward
 from qatlab.numeric import Rng
-from qatlab.qc import QCConfig, fit_qc
+from qatlab.qc import QCConfig, fit_qc, fold_bn_into_quant_scale
 from qatlab.training import TrainConfig, attach_quantizers, train_latent, train_qat
 
 
@@ -164,3 +168,40 @@ class TestNetworkRoundTrip:
         save_checkpoint(p1, network_to_checkpoint(qnet, ema=ema))
         save_checkpoint(p2, network_to_checkpoint(qnet, ema=ema))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def pinned_state():
+    """A fixed 3-bit CNN with every kind of state a checkpoint holds: eval-mode
+    BN, a first layer folded into a per-channel weight quantizer, per-channel
+    and per-tensor corrections, and EMA shadows after two updates."""
+    net = build_cnn(in_shape=(1, 4, 4), out_dim=3, channels=(2, 3, 3, 2), rng=Rng(0))
+    net = attach_quantizers(net, Rng(1).normal((8, 1, 4, 4)), bits_w=3, bits_a=4).frozen()
+    net.layers[0] = fold_bn_into_quant_scale(net.layers[0])
+    net.layers[1].qc_gamma = 1.0 + 0.1 * Rng(2).normal((3,))
+    net.layers[1].qc_beta = 0.1 * Rng(3).normal((3,))
+    net.layers[4].qc_gamma, net.layers[4].qc_beta = np.array([0.9]), np.array([0.05])
+    ema = EMAState(alpha=0.9, warmup_iters=1)
+    for _ in range(2):
+        ema_update(ema, net.parameters())
+    return net, ema
+
+
+def test_header_bytes_are_pinned(tmp_path):
+    """The header (topology, quantizer metadata, tensor table with every
+    tensor's sha256) of a fixed checkpoint keeps the bytes it had when the
+    topology was still written field by field."""
+    net, ema = pinned_state()
+    p = tmp_path / "pinned.qat"
+    save_checkpoint(p, network_to_checkpoint(net, config={"seed": 0}, ema=ema))
+    raw = p.read_bytes()
+    (head_len,) = struct.unpack("<Q", raw[8:16])
+    head = raw[16 : 16 + head_len]
+    assert head_len == 11709
+    assert hashlib.sha256(head).hexdigest() == (
+        "ba78d4666883142b9e7710211ce8523de0472d6778137d29e660a9d2bc2e6d47"
+    )
+    net2, ema2 = checkpoint_to_network(load_checkpoint(p))
+    x = Rng(4).normal((5, 1, 4, 4))
+    np.testing.assert_array_equal(forward(net2, x), forward(net, x))
+    assert (ema2.alpha, ema2.warmup_iters, ema2.iter) == (0.9, 1, 2)
+    assert net2.layers[0].w_quant.granularity == "per_channel" and net2.layers[0].bn is None

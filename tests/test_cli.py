@@ -565,6 +565,15 @@ class TestErrors:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_soft_round_k_out_of_range(self, tmp_path, capsys):
+        """soft_round_k is checked with the config: exit 2, no run directory."""
+        out = tmp_path / "out"
+        argv = ["eval", "--out", str(out), "--set", "eval_mode=soft_round",
+                "--set", "soft_round_k=0.7"]
+        assert main(argv) == 2
+        assert "soft_round_k" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "change, named",
         [

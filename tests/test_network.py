@@ -667,6 +667,38 @@ class TestBuilders:
         out = forward(net, np.zeros((2, 1, 4, 4)), "latent")
         assert out.shape == (2, 3)
 
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: make_bn(2, eps=-1.0), "eps"),
+            (lambda: make_bn(2, eps=float("nan")), "eps"),
+            (lambda: BNParams(np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2), eps=0.0), "eps"),
+            (lambda: make_bn(2, momentum=1.5), "momentum"),
+            (lambda: BNParams(np.ones(2), np.zeros(2), np.zeros((1, 2)), np.ones(2)), "vectors"),
+            (lambda: dense_layer(np.eye(2), stride=0), "stride"),
+            (lambda: dense_layer(np.eye(2), pad=-3), "pad"),
+            (lambda: NetworkSpec([dense_layer(np.eye(2))], input_shape=(0,)), "input_shape"),
+            (lambda: NetworkSpec([], input_shape=(2,)), "layers"),
+            (lambda: NetworkSpec([dense_layer(np.eye(2))], input_shape=(3,)), "2 features"),
+            (lambda: NetworkSpec([dense_layer(np.eye(2))] * 2 + [dense_layer(np.ones((1, 3)))],
+                                 input_shape=(2,)), "3 features"),
+            (lambda: NetworkSpec([LayerSpec(CONV2D, np.zeros((2, 3, 3, 3)), np.zeros(2))],
+                                 input_shape=(1, 4, 4)), "3 channels"),
+            (lambda: NetworkSpec([LayerSpec(CONV2D, np.zeros((2, 1, 5, 5)), np.zeros(2))],
+                                 input_shape=(1, 4, 4)), "does not fit"),
+            (lambda: NetworkSpec([LayerSpec(DEPTHWISE, np.zeros((2, 1, 3, 3)), np.zeros(2))],
+                                 input_shape=(4,)), "2 channels"),
+        ],
+        ids=["eps_negative", "eps_nan", "eps_zero_var_zero", "momentum", "stat_shape",
+             "stride", "pad", "input_shape", "no_layers", "dense_fan_in", "dense_chain",
+             "conv_channels", "kernel_fit", "conv_after_flat"],
+    )
+    def test_dataclasses_reject_bad_fields(self, make, match):
+        """What a checkpoint could hold but no network can run is rejected
+        at construction."""
+        with pytest.raises(ValueError, match=match):
+            make()
+
     def test_copy_is_deep(self):
         net = build_mlp(3, 2, hidden=(4,), rng=Rng(0))
         dup = net.copy()

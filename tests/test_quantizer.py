@@ -139,6 +139,10 @@ class TestQuantize:
         w = Rng(1).uniform((4096,), -2.0, 2.0)
         assert len(np.unique(quantize(w, q))) <= 2**3
 
+    def test_per_tensor_takes_no_axis(self):
+        with pytest.raises(ValueError, match="no axis"):
+            QuantizerState(s=np.asarray(0.5), bits=4, axis=0)
+
     def test_per_channel(self):
         s = np.array([0.1, 0.2])
         q = QuantizerState(s=s, bits=4, signed=True, granularity=PER_CHANNEL, axis=0)
