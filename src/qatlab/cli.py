@@ -54,12 +54,12 @@ METHOD_ORDER = ("plain", "dampening", "ema", "qc", "ema_qc")
 
 
 def _fmt(v):
+    if isinstance(v, (float, np.floating)):  # first: most CSV cells are floats
+        return repr(float(v))
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
     return "" if v is None else str(v)
 
 
@@ -343,15 +343,9 @@ def task_toy(cfg: ExperimentConfig):
         codes = trace["codes"]
         per_step_flips = np.zeros(len(codes), dtype=np.int64)
         per_step_flips[1:] = (codes[1:] != codes[:-1]).sum(axis=1)
-        cum_flips = np.cumsum(per_step_flips)
-        rows = []
-        for t in range(len(codes)):
-            rows.append(
-                [t]
-                + list(trace["w"][t])
-                + list(trace["q_w"][t])
-                + [trace["s_w"][t], trace["s_x"][t], trace["loss"][t], cum_flips[t]]
-            )
+        columns = [*trace["w"].T, *trace["q_w"].T, trace["s_w"], trace["s_x"], trace["loss"],
+                   np.cumsum(per_step_flips)]
+        rows = list(zip(range(len(codes)), *(c.tolist() for c in columns)))
         write_csv(run_dir / "toy_trace.csv", header, rows)
         final = {
             "final_loss": float(trace["loss"][-1]),

@@ -26,8 +26,8 @@ class EMAState(LaidOutState):
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"decay must be in [0, 1), got {self.alpha}")
-        if self.warmup_iters < 0:
-            raise ValueError("warmup_iters must be >= 0")
+        if self.warmup_iters < 0 or self.iter < 0:
+            raise ValueError("warmup_iters and iter must be >= 0")
 
     @property
     def effective_alpha(self) -> float:

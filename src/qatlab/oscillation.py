@@ -9,13 +9,14 @@ relative to the thresholds.
 """
 
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from .ema import EMAState, ema_update
 from .numeric import Rng
 from .quantizer import (
+    PER_CHANNEL,
     SCALE_FLOOR,
     QuantizerState,
     integer_code,
@@ -155,73 +156,72 @@ def _residual(x, qx, qw, w_star):
 
 
 def _mean_norm(e):
-    return float(np.mean(np.sqrt(np.sum(e * e, axis=1))))
+    # np.add.reduce is what np.sum and np.mean reduce with, minus their wrappers.
+    return float(np.add.reduce(np.sqrt(np.add.reduce(e * e, axis=1))) / len(e))
 
 
 def run_toy(p: ToyProblem, rng: Rng = None):
     """Plain gradient descent on (w, s_w, s_x) through the quantizer.
 
     Records every step: latent w, q(w), both scales, batch loss, and the
-    integer codes fed to the tracker.  EMA shadows of all three trainables
-    are updated after each step and recorded in parallel; they are passive,
-    so the live run is the same as without them.
+    integer codes fed to the tracker, with the EMA shadows of all three
+    trainables and their codes beside them; the shadows are passive, so the
+    live run is the same as without them.
     Aborts if the reported loss exceeds DIVERGENCE_LIMIT.
 
-    Each step rounds x and w once; that rounding feeds the residual, the
-    recorded codes and the straight-through backward.  The EMA shadow
-    codes are a third rounding.  The scales are updated in place.
+    The step loop keeps only what the next step depends on, and writes each
+    step into preallocated rows: it rounds x and w once each (for the
+    residual, the codes and the straight-through backward), updates w and
+    the scales in place and folds them into the shadows.  The rest is done
+    in bulk by the same functions on the same doubles, so every bit is a
+    per-step loop's: one draw of all batches (Philox yields the same doubles
+    in one call as in many), one rounding of the shadow rows at a per-row
+    scale for the shadow codes, and the tracker fed the code rows at the end.
     """
     if rng is None:
         raise ValueError("run_toy needs an explicit rng")
     q_w = QuantizerState(s=np.asarray(float(p.s_w0)), bits=p.bits_w, signed=True)
     q_x = QuantizerState(s=np.asarray(float(p.s_x0)), bits=p.bits_x, signed=False)
     w = p.w_star.copy()
-    tracker = OscillationTracker(window=max(p.steps, 2))
     ema = EMAState(alpha=p.ema_alpha, warmup_iters=int(p.ema_warmup_frac * p.steps))
-    sh_q_w = q_w.copy()
-    rows = {k: [] for k in ("w", "q_w", "s_w", "s_x", "loss", "codes",
-                            "ema_w", "ema_s_w", "ema_s_x", "ema_codes")}
+    live = {"w": w, "s_w": q_w.s, "s_x": q_x.s}
+    xs = rng.uniform((p.steps, p.batch_size), p.x_lo, p.x_hi)
+    ws, q_ws, codes, ema_ws = (np.empty((p.steps, w.size)) for _ in range(4))
+    s_ws, s_xs, losses, ema_s_ws, ema_s_xs = (np.empty(p.steps) for _ in range(5))
 
-    for step in range(p.steps):
-        x = rng.uniform((p.batch_size,), p.x_lo, p.x_hi)
+    for step, x in enumerate(xs):
         qx, _, x_round = round_to_grid(x, q_x)
         qw, w_code, w_round = round_to_grid(w, q_w)
         e = _residual(x, qx, qw, p.w_star)
         loss = _mean_norm(e)
-        if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+        if not loss <= DIVERGENCE_LIMIT:  # NaN fails the comparison too
             raise RuntimeError(f"toy run diverged at step {step}: loss={loss}")
-
-        codes = w_code.astype(np.int64)
-        record_step(tracker, codes)
-        rows["w"].append(w)  # w is rebound below, never written in place
-        rows["q_w"].append(qw)
-        rows["s_w"].append(float(q_w.s))
-        rows["s_x"].append(float(q_x.s))
-        rows["loss"].append(loss)
-        rows["codes"].append(codes)
-        sh_w = ema.shadows.get("w", w)
-        sh_q_w.s[...] = ema.shadows.get("s_w", q_w.s)
-        rows["ema_w"].append(sh_w.copy())
-        rows["ema_s_w"].append(float(sh_q_w.s))
-        rows["ema_s_x"].append(float(ema.shadows.get("s_x", q_x.s)))
-        rows["ema_codes"].append(integer_code(sh_w, sh_q_w))
+        sh = ema.shadows or live  # before the first update the shadows are the live start
+        ws[step], q_ws[step], codes[step], ema_ws[step] = w, qw, w_code, sh["w"]
+        s_ws[step], s_xs[step], losses[step] = q_w.s, q_x.s, loss
+        ema_s_ws[step], ema_s_xs[step] = sh["s_w"], sh["s_x"]
 
         # Squared-norm gradients of the sampled objective.
         g_w, g_sw = quantize_backward(w_round, q_w, -2.0 / x.size * (qx @ e))
         _, g_sx = quantize_backward(x_round, q_x, -2.0 / x.size * (e @ qw))
 
-        w = w - p.lr * g_w
-        q_w.s[...] = np.maximum(q_w.s - p.lr * g_sw, SCALE_FLOOR)
-        q_x.s[...] = np.maximum(q_x.s - p.lr * g_sx, SCALE_FLOOR)
-        ema_update(ema, {"w": w, "s_w": q_w.s, "s_x": q_x.s})
+        w -= p.lr * g_w
+        np.maximum(q_w.s - p.lr * g_sw, SCALE_FLOOR, out=q_w.s)
+        np.maximum(q_x.s - p.lr * g_sx, SCALE_FLOOR, out=q_x.s)
+        ema_update(ema, live)
 
-    trace = {k: np.asarray(v) for k, v in rows.items()}
+    codes = codes.astype(np.int64)
+    tracker = OscillationTracker(window=max(p.steps, 2))
+    for row in codes:
+        record_step(tracker, row)
+    per_row = replace(q_w, s=ema_s_ws, granularity=PER_CHANNEL, axis=0)
+    trace = {"w": ws, "q_w": q_ws, "s_w": s_ws, "s_x": s_xs, "loss": losses, "codes": codes,
+             "ema_w": ema_ws, "ema_s_w": ema_s_ws, "ema_s_x": ema_s_xs,
+             "ema_codes": integer_code(ema_ws, per_row)}
     eval_x = rng.child("toy_eval").uniform((4096,), p.x_lo, p.x_hi)
     trace["final_eval_loss"] = toy_objective(w, q_w, q_x, eval_x, p.w_star)
-    sh_q_w.s[...] = ema.shadows["s_w"]
-    sh_q_x = q_x.copy()
-    sh_q_x.s[...] = ema.shadows["s_x"]
+    sh = ema.shadows
     trace["final_eval_loss_ema"] = toy_objective(
-        ema.shadows["w"], sh_q_w, sh_q_x, eval_x, p.w_star
+        sh["w"], replace(q_w, s=sh["s_w"]), replace(q_x, s=sh["s_x"]), eval_x, p.w_star
     )
     return trace, tracker

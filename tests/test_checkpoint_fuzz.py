@@ -198,6 +198,7 @@ LAYER1 = ("topology", "layers", 1)
         (0, _set("topology", "input_shape", value="ab"), "input_shape"),
         (0, _set("topology", "input_shape", value=[1.0, 4, 4]), "input_shape"),
         (0, _set("topology", "ema", "iter", value="x"), "ema.iter"),
+        (0, _set("topology", "ema", "iter", value=-3), "iter must be >= 0"),
         (0, _set(*LAYER1, "a_quant", "axis", value=0), "axis"),
         (0, _set(*LAYER1, "w_quant", "bits", value=10000), "bits"),
         (0, _set("topology", "layers", value=[]), "layers"),
@@ -218,9 +219,10 @@ LAYER1 = ("topology", "layers", 1)
     ids=["offset_str", "offset_float", "shape_str", "shape_float", "nbytes_null",
          "dtype_list", "name_int", "eps_negative", "momentum_str", "stride_0", "stride_str",
          "pad_negative", "input_shape_str", "input_shape_float", "ema_iter_str",
-         "per_tensor_axis", "bits_huge", "no_layers", "version_bool", "version_float",
-         "int_weight", "bn_stat_shape", "negative_dim", "identical_bytes_elsewhere",
-         "missing_shadow", "no_ema_entry", "qc_null", "in_channels", "trailing_bytes"],
+         "ema_iter_negative", "per_tensor_axis", "bits_huge", "no_layers", "version_bool",
+         "version_float", "int_weight", "bn_stat_shape", "negative_dim",
+         "identical_bytes_elsewhere", "missing_shadow", "no_ema_entry", "qc_null",
+         "in_channels", "trailing_bytes"],
 )
 def test_bad_file_exits_3(pinned_files, tmp_path, capsys, which, change, named):
     """Files that ``eval`` took (exit 0), failed on while running (exit 2)

@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import json
 import os
 import struct
@@ -73,6 +74,35 @@ class TestToy:
         assert 0.0 <= m["final"]["mean_flip_frequency"] <= 1.0
         assert m["config_hash"] == m["config_hash"].lower()
         assert len(m["config_hash"]) == 64
+
+    def test_trace_bytes_are_pinned(self, tmp_path):
+        # A faster run_toy or CSV writer must keep these bytes.
+        assert main(["toy", "--out", str(tmp_path), "--set", "seeds=[3]",
+                     "--set", "toy.steps=300"]) == 0
+        raw = (tmp_path / "toy-seed3" / "toy_trace.csv").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == (
+            "c313e55f20e876a9b3131549fdfad8c63321a53f8a267802945d10f102145801"
+        )
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (-0.0, "-0.0"),
+        (1e-300, "1e-300"),
+        (float("inf"), "inf"),
+        (np.float64(-0.0), "-0.0"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (True, "true"),
+        (np.True_, "true"),
+        (3, "3"),
+        (np.int64(7), "7"),
+        (None, ""),
+        ("x", "x"),
+    ],
+)
+def test_fmt(value, text):
+    assert cli._fmt(value) == text
 
 
 class TestTrain:

@@ -95,6 +95,11 @@ class TestEmaUpdate:
         with pytest.raises(ValueError):
             EMAState(alpha=1.0)
 
+    @pytest.mark.parametrize("field", [{"iter": -3}, {"warmup_iters": -1}])
+    def test_negative_counts_rejected(self, field):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            EMAState(alpha=0.9, **field)
+
 
 EMA_SHAPES = {"w": (4, 3), "b": (4,), "s": (), "gain": (2,)}
 

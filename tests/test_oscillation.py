@@ -277,23 +277,33 @@ class TestRunToy:
         freq = flip_frequency(tracker)
         assert (freq > 0.05).any()
 
-    @pytest.mark.parametrize("seed", [3, 17])
-    def test_bit_identical_to_reference_loop(self, seed):
-        p = ToyProblem(steps=300)
+    @pytest.mark.parametrize(
+        "seed, steps", [(3, 300), (17, 300), (5, ToyProblem().steps)], ids=["3", "17", "default"]
+    )
+    def test_bit_identical_to_reference_loop(self, seed, steps):
+        p = ToyProblem(steps=steps)
         trace, tracker = run_toy(p, rng=Rng(seed))
         ref, ref_tracker = reference_run_toy(p, Rng(seed))
         assert trace.keys() == ref.keys()
         for key in ref:
+            assert np.shape(trace[key]) == np.shape(ref[key]), key
+            assert np.asarray(trace[key]).dtype == np.asarray(ref[key]).dtype, key
             assert np.array_equal(trace[key], ref[key]), key
-        assert np.array_equal(tracker.flip_counts, ref_tracker.flip_counts)
+        assert tracker.recorded == ref_tracker.recorded
+        for got, want in ((tracker.flip_counts, ref_tracker.flip_counts),
+                          (tracker._last, ref_tracker._last)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
 
     def test_one_rounding_per_quantizer_per_step(self, rounding_calls):
-        # Rounds x and w once per step, plus the EMA shadow codes; the
-        # difference of a 2-step and a 1-step run leaves out the final eval.
-        run_toy(ToyProblem(steps=1), rng=Rng(0))
-        one = len(rounding_calls)
-        run_toy(ToyProblem(steps=2), rng=Rng(0))
-        assert len(rounding_calls) - one - one == 3
+        # Each step rounds x and w once; the shadow codes are one rounding
+        # of all the shadow rows; the final evals round x and w for the live
+        # and the shadow model.  So 7 roundings at 1 step, 2 more per step.
+        for steps in (1, 2, 5):
+            rounding_calls.clear()
+            run_toy(ToyProblem(steps=steps), rng=Rng(0))
+            assert len(rounding_calls) == 7 + 2 * (steps - 1)
+            assert rounding_calls == [(16,), (3,)] * steps + [(steps, 3)] + [(4096,), (3,)] * 2
 
     def test_requires_rng(self):
         with pytest.raises(ValueError):
