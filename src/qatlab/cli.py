@@ -4,6 +4,7 @@ run directories (metrics CSV, checkpoints, manifest)."""
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -522,34 +523,50 @@ def task_ablate(cfg: ExperimentConfig):
 def _final_metric(final: dict, prefix: str):
     """(name, value) of the eval metric a manifest's ``final`` holds under
     ``prefix``: accuracy if the run has one, else loss, a qc run's value
-    after fitting over its value before.  (None, None) if there is none."""
+    after fitting over its value before.  (None, None) if there is none, a
+    ValueError if the value is not a finite number."""
     for name in ("eval_accuracy", "eval_loss"):
         for key in (f"{prefix}{name}_after", f"{prefix}{name}"):
             if key in final:
-                return name, final[key]
+                value = final[key]
+                if type(value) not in (int, float) or not math.isfinite(value):
+                    raise ValueError(f"{key} {value!r} is not a finite number")
+                return name, float(value)
     return None, None
+
+
+def _report_arms(path: Path):
+    """(method, bits_w, metric name, value) of each arm an ``ok`` manifest
+    reports, the last two from ``_final_metric``; none if ``path`` is
+    missing or not ``ok``.  A RuntimeError if it cannot be read as one."""
+    if not path.exists():
+        return []  # absent cell, not an error
+    try:
+        with open(path) as fh:
+            m = json.load(fh)
+        if type(m) is not dict:
+            raise ValueError("not a JSON object")
+        if m.get("status") != "ok" or "method" not in m:
+            return []
+        method, bits, final = m["method"], m.get("bits_w"), m.get("final", {})
+        if type(method) is not str or type(bits) not in (int, type(None)) or type(final) is not dict:
+            raise ValueError("method must be a string, bits_w an integer or null, final an object")
+        # A train run with EMA on records both arms: the live net and its shadows.
+        arms = [(method, "")]
+        if m.get("task") == "train" and method == "ema":
+            arms = [("plain", ""), ("ema", "ema_")]
+        return [(arm, bits, *_final_metric(final, prefix)) for arm, prefix in arms]
+    except (ValueError, OverflowError) as exc:  # bad JSON or UTF-8; an int past float range
+        raise RuntimeError(f"unusable manifest: {path}: {exc}") from None
 
 
 def task_report(cfg: ExperimentConfig):
     start = time.perf_counter()
     groups = {}
     for run in cfg.runs:
-        manifest_path = Path(run) / "manifest.json"
-        if not manifest_path.exists():
-            continue  # absent cell, not an error
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        if manifest.get("status") != "ok" or "method" not in manifest:
-            continue
-        # A train run with EMA on records both arms: the live net and its shadows.
-        arms = [(manifest["method"], "")]
-        if manifest.get("task") == "train" and manifest["method"] == "ema":
-            arms = [("plain", ""), ("ema", "ema_")]
-        for method, prefix in arms:
-            metric_name, metric = _final_metric(manifest.get("final", {}), prefix)
+        for method, bits, metric_name, metric in _report_arms(Path(run) / "manifest.json"):
             if metric is not None:
-                key = (method, manifest.get("bits_w"), metric_name)
-                groups.setdefault(key, []).append(float(metric))
+                groups.setdefault((method, bits, metric_name), []).append(metric)
 
     header = ["method", "bits_w", "metric", "runs", "mean", "spread"]
     rows = []
@@ -558,16 +575,7 @@ def task_report(cfg: ExperimentConfig):
         groups, key=lambda k: (order.get(k[0], 99), k[1] or 0, k[2])
     ):
         vals = np.asarray(groups[(method, bits, metric_name)])
-        rows.append(
-            {
-                "method": method,
-                "bits_w": bits,
-                "metric": metric_name,
-                "runs": len(vals),
-                "mean": float(vals.mean()),
-                "spread": float(vals.std()),
-            }
-        )
+        rows.append([method, bits, metric_name, len(vals), float(vals.mean()), float(vals.std())])
     run_dir = run_dir_for(cfg, None)
     write_csv(run_dir / "report.csv", header, rows)
     write_manifest(

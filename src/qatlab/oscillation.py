@@ -3,12 +3,11 @@
 A three-coordinate regression problem whose weights and step sizes are
 trained through the quantizer with straight-through gradients.  Latent
 weights that sit near a rounding threshold keep crossing it, so their
-integer codes flip step after step; the tracker counts those flips over a
-sliding window and the boundary histogram shows where latents cluster
-relative to the thresholds.
+integer codes flip step after step; the tracker counts those flips over
+the snapshots it is given and the boundary histogram shows where latents
+cluster relative to the thresholds.
 """
 
-from collections import deque
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -72,26 +71,21 @@ class ToyProblem:
 
 
 class OscillationTracker:
-    """Windowed per-parameter flip counter over integer code snapshots.
+    """Per-parameter flip counter over integer code snapshots.
 
-    Covers the last `window` code snapshots; flip_counts holds the number of
-    code changes between consecutive snapshots still inside the window, so
-    each count is at most window - 1.  Only the latest snapshot is kept,
-    plus one boolean change mask per transition inside the window, which is
-    all that eviction needs and an eighth of the bytes of int64 snapshots.
+    flip_counts holds the number of code changes between consecutive
+    snapshots, and recorded the number of snapshots; only the latest one is
+    kept.  A caller that counts over a window records only the window's
+    steps, as train_qat does.
     """
 
-    def __init__(self, window: int):
-        if window < 2:
-            raise ValueError("window must be >= 2")
-        self.window = window
+    # perfbench/spans.py's _tracker_bytes sums the arrays in _buf; there are none.
+    _buf = ()
+
+    def __init__(self):
         self.flip_counts = None
         self._last = None
-        self._buf: deque = deque()
-
-    @property
-    def recorded(self) -> int:
-        return 0 if self._last is None else len(self._buf) + 1
+        self.recorded = 0
 
 
 def record_step(t: OscillationTracker, codes) -> OscillationTracker:
@@ -103,18 +97,14 @@ def record_step(t: OscillationTracker, codes) -> OscillationTracker:
             raise ValueError(
                 f"code shape changed mid-run: {t._last.shape} -> {codes.shape}"
             )
-        if len(t._buf) == t.window - 1:
-            # The oldest transition leaves the window.
-            t.flip_counts -= t._buf.popleft()
-        changed = t._last != codes
-        t.flip_counts += changed
-        t._buf.append(changed)
+        t.flip_counts += t._last != codes
     t._last = codes.copy()
+    t.recorded += 1
     return t
 
 
 def flip_frequency(t: OscillationTracker):
-    """Flips per transition inside the window, one value per parameter."""
+    """Flips per recorded transition, one value per parameter."""
     if t.recorded < 2:
         raise RuntimeError("need at least 2 recorded steps")
     return t.flip_counts / (t.recorded - 1)
@@ -211,7 +201,7 @@ def run_toy(p: ToyProblem, rng: Rng = None):
         ema_update(ema, live)
 
     codes = codes.astype(np.int64)
-    tracker = OscillationTracker(window=max(p.steps, 2))
+    tracker = OscillationTracker()
     for row in codes:
         record_step(tracker, row)
     per_row = replace(q_w, s=ema_s_ws, granularity=PER_CHANNEL, axis=0)

@@ -246,9 +246,10 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
 
     Returns ``(net, ema_state, tracker, history)``.  The EMA shadows every
     trainable parameter after each optimizer step; the tracker records the
-    concatenated integer weight codes so flip statistics can be read off
-    afterwards.  ``cfg.epochs == 0`` leaves the net untouched and the
-    history empty.
+    concatenated integer weight codes after each of the last FLIP_WINDOW
+    steps (every step of a shorter run), so flip statistics over that window
+    can be read off afterwards.  ``cfg.epochs == 0`` leaves the net
+    untouched and the history empty.
 
     The shadows never feed back into training, so one live run serves any
     number of decays.  With ``ema_alphas``, one shadow set is kept per decay
@@ -260,7 +261,7 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
     rng = Rng(cfg.seed).child("qat")
     opt = AdamState(lr=cfg.lr)
     qlayers = [i for i, l in enumerate(net.layers) if l.w_quant is not None]
-    tracker = OscillationTracker(window=FLIP_WINDOW)
+    tracker = OscillationTracker()
 
     x_all = shape_inputs(dataset.train_x, net.input_shape)
     y_all = dataset.train_y
@@ -280,7 +281,7 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
         epoch_loss = 0.0
         for idx in batches(len(x_all), cfg.batch, drop_last=True, rng=rng):
             epoch_loss += _qat_step(net, opt, emas.values(), x_all[idx], y_all[idx], cfg, epoch)
-            if qlayers:
+            if qlayers and opt.step > total_iters - FLIP_WINDOW:  # opt.step counts this step
                 record_step(tracker, _weight_codes(net, qlayers))
 
         row = {"epoch": epoch, "train_loss": epoch_loss / iters_per_epoch}

@@ -117,6 +117,13 @@ class TestTrain:
         assert m["bits_w"] == 4
         assert set(m["artifacts"]) == {"checkpoint.qat", "metrics.csv"}
 
+    def test_flip_stats_are_pinned(self, train_run):
+        # A change to the tracker, or to the steps train_qat records, must
+        # keep these values.
+        final = read_manifest(train_run / "train-seed0")["final"]
+        assert final["mean_flip_frequency"] == 0.04034900284900285
+        assert final["oscillating_fraction"] == 0.1909722222222222
+
     def test_checkpoint_loads(self, train_run):
         ckpt = load_checkpoint(train_run / "train-seed0" / "checkpoint.qat")
         net, ema = checkpoint_to_network(ckpt)
@@ -421,6 +428,24 @@ class TestReport:
         assert main(["report", "--out", str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "report" / "report.csv")
         assert header[0] == "method" and rows == []
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"status": "ok", "method": "qc", "bits_w": 4, "final": 5}',
+        '{"status": "ok", "method": "qc", "bits_w": [4], "final": {"eval_accuracy": 0.5}}',
+        '{"status": "ok", "method": ["qc"], "bits_w": 4, "final": {"eval_accuracy": 0.5}}',
+        '{"status": "ok", "method": "qc",',
+        '{"status": "ok", "method": "qc", "bits_w": 4, "final": {"eval_accuracy": "high"}}',
+    ], ids=["array", "final_not_object", "bits_w_list", "method_list", "bad_json",
+            "metric_not_a_number"])
+    def test_unusable_manifest_exits_3(self, tmp_path, capsys, text):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "manifest.json").write_text(text)
+        assert main(["report", "--out", str(tmp_path / "out"), str(run)]) == 3
+        err = capsys.readouterr().err
+        assert "unusable manifest: " in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestErrors:

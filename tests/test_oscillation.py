@@ -49,7 +49,7 @@ def reference_run_toy(p, rng):
     q_w = QuantizerState(s=np.asarray(float(p.s_w0)), bits=p.bits_w, signed=True)
     q_x = QuantizerState(s=np.asarray(float(p.s_x0)), bits=p.bits_x, signed=False)
     w = p.w_star.copy()
-    tracker = OscillationTracker(window=max(p.steps, 2))
+    tracker = OscillationTracker()
     ema = EMAState(alpha=p.ema_alpha, warmup_iters=int(p.ema_warmup_frac * p.steps))
     keys = ("w", "q_w", "s_w", "s_x", "loss", "codes", "ema_w", "ema_s_w", "ema_s_x", "ema_codes")
     rows = {k: [] for k in keys}
@@ -138,14 +138,14 @@ class TestToyObjective:
 
 class TestTracker:
     def test_identical_codes_no_flips(self):
-        t = OscillationTracker(window=10)
+        t = OscillationTracker()
         for _ in range(5):
             record_step(t, np.array([1, -1, 0]))
         assert not t.flip_counts.any()
         assert flip_frequency(t).tolist() == [0.0, 0.0, 0.0]
 
     def test_alternating_full_window(self):
-        t = OscillationTracker(window=100)
+        t = OscillationTracker()
         for i in range(100):
             record_step(t, np.array([i % 2]))
         freq = flip_frequency(t)[0]
@@ -153,60 +153,37 @@ class TestTracker:
 
     def test_random_stream_vs_recount_oracle(self):
         rng = Rng(42)
-        window = 50
-        t = OscillationTracker(window=window)
+        t = OscillationTracker()
         stream = []
         for _ in range(200):
             codes = rng.integers(-2, 3, (4,))
             stream.append(codes)
             record_step(t, codes)
-        np.testing.assert_array_equal(t.flip_counts, windowed_recount(stream, window))
+        np.testing.assert_array_equal(t.flip_counts, windowed_recount(stream, len(stream)))
 
-    @pytest.mark.parametrize("window", [2, 3, 7])
-    def test_every_step_vs_recount_oracle(self, window):
-        # Random streams several windows long, so transitions are evicted.
-        rng = Rng(window)
-        t = OscillationTracker(window=window)
+    @pytest.mark.parametrize("seed", [2, 3, 7])
+    def test_every_step_vs_recount_oracle(self, seed):
+        rng = Rng(seed)
+        t = OscillationTracker()
         stream = []
-        for _ in range(5 * window):
+        for _ in range(5 * seed):
             codes = rng.integers(-2, 3, (6,))
             stream.append(codes)
             record_step(t, codes)
-            assert t.recorded == min(len(stream), window)
-            np.testing.assert_array_equal(t.flip_counts, windowed_recount(stream, window))
-
-    def test_eviction_keeps_counts_windowed(self):
-        # A burst of flips followed by a constant tail must fall out of the window.
-        t = OscillationTracker(window=20)
-        for i in range(20):
-            record_step(t, np.array([i % 2]))
-        assert t.flip_counts[0] == 19
-        for _ in range(40):
-            record_step(t, np.array([0]))
-        assert t.flip_counts[0] == 0
-
-    def test_flip_counts_bounded_by_window(self):
-        t = OscillationTracker(window=7)
-        rng = Rng(3)
-        for _ in range(100):
-            record_step(t, rng.integers(0, 2, (3,)))
-            assert (t.flip_counts <= 6).all()
+            assert t.recorded == len(stream)
+            np.testing.assert_array_equal(t.flip_counts, windowed_recount(stream, len(stream)))
 
     def test_shape_change_rejected(self):
-        t = OscillationTracker(window=5)
+        t = OscillationTracker()
         record_step(t, np.array([0, 1]))
         with pytest.raises(ValueError):
             record_step(t, np.array([0, 1, 2]))
 
     def test_too_few_steps(self):
-        t = OscillationTracker(window=5)
+        t = OscillationTracker()
         record_step(t, np.array([0]))
         with pytest.raises(RuntimeError):
             flip_frequency(t)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            OscillationTracker(window=1)
 
 
 class TestBoundaryHistogram:

@@ -28,6 +28,7 @@ from qatlab.training import (
     train_latent,
     train_qat,
 )
+from test_oscillation import windowed_recount
 
 
 class TestAdam:
@@ -416,6 +417,38 @@ class TestTrainQat:
         assert ema.iter == iters
         assert {"epoch", "train_loss", "eval_loss", "eval_accuracy"} <= set(history[0])
         assert "ema_eval_loss" in history[-1]
+
+    @pytest.mark.parametrize("window", [2, 7])
+    def test_tracker_counts_over_the_last_window_steps(self, monkeypatch, window):
+        # The codes of every step of one run, then the same run with a
+        # window shorter than it: only the window's steps take codes.
+        d, qnet = self._setup(bits=3)
+        cfg = TrainConfig(epochs=2, batch=32, lr=1e-2, seed=0)
+        stream, taken = [], []
+        record, weight_codes = training.record_step, training._weight_codes
+
+        def recording(t, codes):
+            stream.append(codes.copy())
+            return record(t, codes)
+
+        def counted(net, qlayers):
+            taken.append(1)
+            return weight_codes(net, qlayers)
+
+        monkeypatch.setattr(training, "record_step", recording)
+        monkeypatch.setattr(training, "FLIP_WINDOW", 10**6)
+        train_qat(qnet.copy(), d, cfg)
+        total = 2 * (len(d.train_idx) // 32)
+        assert len(stream) == total > window
+        assert windowed_recount(stream, 7).any()  # the window sees flips
+
+        monkeypatch.setattr(training, "record_step", record)
+        monkeypatch.setattr(training, "_weight_codes", counted)
+        monkeypatch.setattr(training, "FLIP_WINDOW", window)
+        _, _, tracker, _ = train_qat(qnet.copy(), d, cfg)
+        assert len(taken) == tracker.recorded == min(total, window)
+        np.testing.assert_array_equal(tracker.flip_counts, windowed_recount(stream, window))
+        np.testing.assert_array_equal(tracker._last, stream[-1])
 
     def test_accuracy_holds_up(self):
         d, qnet = self._setup()

@@ -6,13 +6,15 @@ Makes the benchmark's workload calls (``perfbench/workloads.py``) for
 cnn_trend, mlp_wide and toy at workload seeds 0-2 with each tree's
 ``qatlab.cli``, one subprocess per call, with PYTHONPATH=<tree>/src and
 OMP_NUM_THREADS=1.  Both trees write into the same output path, since the
-checkpoints record it.  Every file the calls leave, except the manifests
-(they hold wall times), is hashed with sha256.  Each file that differs or
-exists in one tree only is printed, and so is each call that fails; the
-exit status is 1 if there is any, else 0.
+checkpoints record it.  Every file the calls leave is hashed with sha256;
+a manifest is hashed as its JSON less ``wall_time_s``, so its ``final``
+(the flip statistics of ``train`` and ``toy`` among them) is compared too.
+Each file that differs or exists in one tree only is printed, and so is
+each call that fails; the exit status is 1 if there is any, else 0.
 """
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -41,12 +43,19 @@ def run_tree(tree: Path, out: Path) -> tuple:
                 if proc.returncode != 0:
                     failed.append(f"{name} seed {seed} {call['task']}: exit {proc.returncode}"
                                   f" {proc.stderr.strip()[-300:]}")
-    digests = {
-        str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out.rglob("*"))
-        if path.is_file() and path.name != "manifest.json"
-    }
+    digests = {str(path.relative_to(out)): digest(path)
+               for path in sorted(out.rglob("*")) if path.is_file()}
     return digests, failed
+
+
+def digest(path: Path) -> str:
+    """sha256 of the file's bytes, or of a manifest's JSON less its wall time."""
+    data = path.read_bytes()
+    if path.name == "manifest.json":
+        manifest = json.loads(data)
+        manifest.pop("wall_time_s", None)
+        data = json.dumps(manifest, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
 
 
 def main(argv=None) -> int:
