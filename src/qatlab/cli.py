@@ -32,7 +32,7 @@ from .ema import materialize_ema
 from .network import build_cnn, build_mlp, forward
 from .numeric import Rng
 from .oscillation import flip_frequency, run_toy
-from .qc import absorb_corrections, fit_qc, fold_network, qc_ablation
+from .qc import ABLATION_VARIANTS, absorb_corrections, fit_qc, fold_network, qc_ablation
 from .training import attach_quantizers, check_batch_fits, evaluate, shape_inputs
 from .training import train_latent, train_qat
 
@@ -329,6 +329,16 @@ def _snapshot(cfg: ExperimentConfig, seed, dataset_spec) -> dict:
     }
 
 
+def _eval_before_after(before: dict, after: dict) -> dict:
+    """Two ``evaluate()`` results as row cells: ``eval_<metric>_before``
+    then ``eval_<metric>_after`` for each metric."""
+    row = {}
+    for key in after:
+        row[f"eval_{key}_before"] = before[key]
+        row[f"eval_{key}_after"] = after[key]
+    return row
+
+
 def task_toy(cfg: ExperimentConfig):
     problem = cfg.toy_problem()
 
@@ -394,12 +404,8 @@ def task_qc(cfg: ExperimentConfig):
         row = {
             "calib_loss_before": calib_before["loss"],
             "calib_loss_after": calib_after["loss"],
-            "eval_loss_before": eval_before["loss"],
-            "eval_loss_after": eval_after["loss"],
+            **_eval_before_after(eval_before, eval_after),
         }
-        if "accuracy" in eval_after:
-            row["eval_accuracy_before"] = eval_before["accuracy"]
-            row["eval_accuracy_after"] = eval_after["accuracy"]
         write_csv(run_dir / "qc_metrics.csv", list(row), [row])
         save_checkpoint(
             run_dir / "qc_checkpoint.qat",
@@ -430,14 +436,7 @@ def task_fold(cfg: ExperimentConfig):
         )
         before = evaluate(frozen, dataset.eval_x, dataset.eval_y)
         after = evaluate(folded, dataset.eval_x, dataset.eval_y)
-        row = {
-            "max_abs_output_diff": diff,
-            "eval_loss_before": before["loss"],
-            "eval_loss_after": after["loss"],
-        }
-        if "accuracy" in after:
-            row["eval_accuracy_before"] = before["accuracy"]
-            row["eval_accuracy_after"] = after["accuracy"]
+        row = {"max_abs_output_diff": diff, **_eval_before_after(before, after)}
         write_csv(run_dir / "fold_report.csv", list(row), [row])
         if diff > 1e-6:
             raise RuntimeError(f"folding changed the outputs by {diff!r} (> 1e-6)")
@@ -460,9 +459,7 @@ def task_eval(cfg: ExperimentConfig):
         result = evaluate(
             target, dataset.eval_x, dataset.eval_y, mode=mode, k=cfg.soft_round_k
         )
-        row = {"mode": cfg.eval_mode, "loss": result["loss"]}
-        if "accuracy" in result:
-            row["accuracy"] = result["accuracy"]
+        row = {"mode": cfg.eval_mode, **result}
         write_csv(run_dir / "eval.csv", list(row), [row])
         return ["eval.csv"], {"final": row}
 
@@ -489,7 +486,7 @@ def task_ablate(cfg: ExperimentConfig):
             ]
             rows = []
             for gran in sorted(table):
-                for variant in ("scale", "shift", "both"):
+                for variant in ABLATION_VARIANTS:
                     cell = dict(table[gran][variant])
                     cell.update({"granularity": gran, "variant": variant})
                     rows.append(cell)

@@ -89,6 +89,8 @@ class ExperimentConfig:
             _is_number(a) and 0.0 <= a < 1.0 for a in self.ema_alphas
         ):
             raise ValueError("ema_alphas must be a non-empty list of numbers in [0, 1)")
+        if len(set(self.ema_alphas)) != len(self.ema_alphas):
+            raise ValueError(f"ema_alphas must not repeat, got {self.ema_alphas!r}")
         # Building what the sections configure runs its range checks now,
         # before any run directory exists.
         _build("toy section", self.toy_problem)

@@ -7,11 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import batches
-from .network import BNParams, LayerSpec, forward, loss_and_grad, backward
+from .network import BNParams, LayerSpec
 from .numeric import Rng
-from .oscillation import DIVERGENCE_LIMIT
 from .quantizer import PER_CHANNEL, PER_TENSOR, SCALE_FLOOR, QuantizerState
-from .training import AdamState, adam_step, evaluate, shape_inputs
+from .training import AdamState, adam_batch, evaluate, shape_inputs
 
 
 @dataclass
@@ -64,12 +63,8 @@ def fit_qc(net, calib_x, calib_y, cfg: QCConfig, seed: int = 0):
         rng = Rng(seed).child("qc_fit")
         x_all = shape_inputs(calib_x, net.input_shape)
         for idx in batches(len(x_all), cfg.batch, drop_last=False, rng=rng):
-            out, cache = forward(net, x_all[idx], mode="quantized", cache=True)
-            loss, g = loss_and_grad(net.loss, out, calib_y[idx])
-            if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-                raise RuntimeError(f"correction fitting diverged (loss={loss})")
-            grads = backward(net, cache, g, wanted=params)
-            adam_step(opt, params, grads)
+            adam_batch(net, opt, params, x_all[idx], calib_y[idx], "quantized",
+                       "correction fitting")
 
     corrections = {
         i: (net.layers[i].qc_gamma.copy(), net.layers[i].qc_beta.copy()) for i in targets
@@ -112,9 +107,10 @@ def fold_bn_into_quant_scale(layer: LayerSpec) -> LayerSpec:
     """Remove BN by pushing it into the weights, bias, and quantizer scale.
 
     With t = gain / sqrt(var + eps) per channel: W' = t W, bias' =
-    t (bias - mu) + bn_bias, s' = s |t|.  A negative t flips the channel's
-    weight sign, so a weight at the lowest code u would need -u = v + 1 and
-    clips to v: that fold is not exact, and the ``fold`` task refuses it.
+    t (bias - mu) + bn_bias, s' = s |t|; s is per tensor or per output
+    channel, s' per output channel.  A negative t flips the channel's weight
+    sign, so a weight at the lowest code u would need -u = v + 1 and clips
+    to v: that fold is not exact, and the ``fold`` task refuses it.
     """
     if layer.bn is None:
         raise ValueError("layer has no batch norm to fold")
@@ -122,8 +118,6 @@ def fold_bn_into_quant_scale(layer: LayerSpec) -> LayerSpec:
         raise RuntimeError("folding needs frozen (eval mode) batch norm")
     if layer.w_quant is None:
         raise ValueError("folding targets a quantized layer")
-    if layer.w_quant.granularity != PER_TENSOR:
-        raise ValueError("folding starts from a per-tensor weight quantizer")
     if layer.qc_gamma is not None:
         raise ValueError("absorb the output correction before folding")
 
@@ -134,9 +128,8 @@ def fold_bn_into_quant_scale(layer: LayerSpec) -> LayerSpec:
     out = layer.copy()
     out.weight = layer.weight * t.reshape(tshape)
     out.bias = t * (layer.bias - bn.running_mean) + bn.bias
-    s = float(layer.w_quant.s)
     out.w_quant = QuantizerState(
-        s=np.maximum(s * np.abs(t), SCALE_FLOOR),
+        s=np.maximum(layer.w_quant.s * np.abs(t), SCALE_FLOOR),
         bits=layer.w_quant.bits,
         signed=layer.w_quant.signed,
         granularity=PER_CHANNEL,
@@ -181,12 +174,9 @@ def qc_ablation(net, dataset, lr: float = 1e-4, batch: int = 32, seed: int = 0) 
             corrected, _ = fit_qc(net, dataset.calib_x, dataset.calib_y, cfg, seed=seed)
             after = evaluate(corrected, dataset.calib_x, dataset.calib_y, mode="quantized")
             ev = evaluate(corrected, dataset.eval_x, dataset.eval_y, mode="quantized")
-            cell = {
+            result[granularity][variant] = {
                 "calib_loss_before": before["loss"],
                 "calib_loss_after": after["loss"],
-                "eval_loss": ev["loss"],
+                **{f"eval_{k}": v for k, v in ev.items()},
             }
-            if "accuracy" in ev:
-                cell["eval_accuracy"] = ev["accuracy"]
-            result[granularity][variant] = cell
     return result

@@ -203,42 +203,44 @@ def check_batch_fits(rows: int, batch: int, epochs: int):
         raise ValueError(f"{rows} training rows cannot fill one batch of {batch}")
 
 
+def adam_batch(net, opt: AdamState, params: dict, x, y, mode: str, what: str,
+               dampening: float = 0.0) -> float:
+    """One Adam step of ``params``, views into ``net.parameters()``, on the
+    batch (x, y) in ``mode``; returns the batch loss.
+
+    The forward pass refreshes the running statistics of batch norm in
+    train mode, and ``dampening`` > 0 adds the dampening penalty to the
+    loss and its gradient.  A loss that is not finite or exceeds
+    DIVERGENCE_LIMIT raises ``RuntimeError("<what> diverged ...")`` before
+    the Adam step.  The forward cache and the gradients are freed when this
+    returns.
+    """
+    out, cache = forward(net, x, mode=mode, cache=True, update_running=True)
+    loss, g = loss_and_grad(net.loss, out, y)
+    grads = backward(net, cache, g, wanted=params)
+    if dampening > 0.0:
+        penalty, pgrads = dampening_penalty(net, dampening)
+        loss += penalty
+        for name, pg in pgrads.items():
+            grads[name] = grads[name] + pg
+    if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+        raise RuntimeError(f"{what} diverged (loss={loss})")
+    adam_step(opt, params, grads)
+    return loss
+
+
 def train_latent(net, dataset, epochs: int, batch: int = 32, lr: float = 1e-3, seed: int = 0):
     """Plain full-precision pretraining, in place.  Returns the net."""
     rng = Rng(seed).child("pretrain")
     opt = AdamState(lr=lr)
+    params = net.parameters()
     x_all = shape_inputs(dataset.train_x, net.input_shape)
     y_all = dataset.train_y
     check_batch_fits(len(x_all), batch, epochs)
     for _ in range(epochs):
         for idx in batches(len(x_all), batch, drop_last=True, rng=rng):
-            out, cache = forward(net, x_all[idx], mode="latent", cache=True, update_running=True)
-            loss, g = loss_and_grad(net.loss, out, y_all[idx])
-            if not np.isfinite(loss):
-                raise RuntimeError("pretraining diverged")
-            grads = backward(net, cache, g)
-            adam_step(opt, net.parameters(), grads)
+            adam_batch(net, opt, params, x_all[idx], y_all[idx], "latent", "pretraining")
     return net
-
-
-def _qat_step(net, opt: AdamState, emas, x, y, cfg: TrainConfig, epoch: int) -> float:
-    """One optimizer step of ``train_qat`` on the batch (x, y), then one
-    update of every EMA state in ``emas``; returns the batch loss.  The
-    step's forward cache and gradients are freed when it returns."""
-    out, cache = forward(net, x, mode="quantized", cache=True, update_running=True)
-    loss, g = loss_and_grad(net.loss, out, y)
-    grads = backward(net, cache, g)
-    if cfg.dampening_lambda > 0.0:
-        penalty, pgrads = dampening_penalty(net, cfg.dampening_lambda)
-        loss += penalty
-        for name, pg in pgrads.items():
-            grads[name] = grads[name] + pg
-    if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-        raise RuntimeError(f"training diverged at epoch {epoch} (loss={loss})")
-    adam_step(opt, net.parameters(), grads)
-    for ema in emas:
-        ema_update(ema, net.parameters())
-    return loss
 
 
 def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
@@ -260,6 +262,7 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
     """
     rng = Rng(cfg.seed).child("qat")
     opt = AdamState(lr=cfg.lr)
+    params = net.parameters()
     qlayers = [i for i, l in enumerate(net.layers) if l.w_quant is not None]
     tracker = OscillationTracker()
 
@@ -280,25 +283,21 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         for idx in batches(len(x_all), cfg.batch, drop_last=True, rng=rng):
-            epoch_loss += _qat_step(net, opt, emas.values(), x_all[idx], y_all[idx], cfg, epoch)
+            epoch_loss += adam_batch(net, opt, params, x_all[idx], y_all[idx], "quantized",
+                                     f"training at epoch {epoch}", cfg.dampening_lambda)
+            for ema in emas.values():
+                ema_update(ema, params)
             if qlayers and opt.step > total_iters - FLIP_WINDOW:  # opt.step counts this step
                 record_step(tracker, _weight_codes(net, qlayers))
 
         row = {"epoch": epoch, "train_loss": epoch_loss / iters_per_epoch}
-        ev = evaluate(net, dataset.eval_x, dataset.eval_y, mode="quantized")
-        row["eval_loss"] = ev["loss"]
-        if "accuracy" in ev:
-            row["eval_accuracy"] = ev["accuracy"]
+        ev = evaluate(net, dataset.eval_x, dataset.eval_y)
+        row.update({f"eval_{k}": v for k, v in ev.items()})
         if not emas:
             history.append(row)
         for alpha, ema in emas.items():
-            shadow_row = dict(row)
-            shadow = materialize_ema(net, ema)
-            sev = evaluate(shadow, dataset.eval_x, dataset.eval_y, mode="quantized")
-            shadow_row["ema_eval_loss"] = sev["loss"]
-            if "accuracy" in sev:
-                shadow_row["ema_eval_accuracy"] = sev["accuracy"]
-            shadow_histories[alpha].append(shadow_row)
+            sev = evaluate(materialize_ema(net, ema), dataset.eval_x, dataset.eval_y)
+            shadow_histories[alpha].append({**row, **{f"ema_eval_{k}": v for k, v in sev.items()}})
     if ema_alphas is not None:
         return net, emas, tracker, shadow_histories
     return net, emas.get(cfg.ema_alpha), tracker, shadow_histories.get(cfg.ema_alpha, history)

@@ -106,6 +106,16 @@ def test_fmt(value, text):
 
 
 class TestTrain:
+    # Each Adam step moves a weight by about lr, so the loss soon passes
+    # DIVERGENCE_LIMIT while it is still finite; silu's exp overflows on the way.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_pretraining_divergence_exits_3(self, tmp_path, capsys):
+        assert main(["train", "--out", str(tmp_path), "--set", "lr=1e30"] + TRAIN_ARGS) == 3
+        m = read_manifest(tmp_path / "train-seed0")
+        assert m["status"] == "failed"
+        assert m["error"].startswith("pretraining diverged (loss=")
+        assert "run failed: pretraining diverged" in capsys.readouterr().err
+
     def test_metrics_and_manifest(self, train_run):
         header, rows = read_csv(train_run / "train-seed0" / "metrics.csv")
         assert header == ["epoch", "train_loss", "eval_loss", "eval_accuracy",
@@ -239,6 +249,26 @@ class TestQcFold:
         assert main(["fold", "--out", str(tmp_path), "--set", f"checkpoint={qc_ckpt}"]) == 0
         header, rows = read_csv(tmp_path / "fold-seed0" / "fold_report.csv")
         assert float(dict(zip(header, rows[0]))["max_abs_output_diff"]) <= 1e-6
+
+    def test_per_channel_checkpoint_folds(self, tmp_path):
+        assert main(["train", "--out", str(tmp_path), "--set", "granularity=per_channel"]
+                    + TRAIN_ARGS) == 0
+        ckpt = tmp_path / "train-seed0" / "checkpoint.qat"
+        assert main(["qc", "--out", str(tmp_path), "--set", f"checkpoint={ckpt}"]) == 0
+        for source in (ckpt, tmp_path / "qc-seed0" / "qc_checkpoint.qat"):
+            out = tmp_path / source.stem
+            assert main(["fold", "--out", str(out), "--set", f"checkpoint={source}"]) == 0
+            header, rows = read_csv(out / "fold-seed0" / "fold_report.csv")
+            assert float(dict(zip(header, rows[0]))["max_abs_output_diff"]) <= 1e-6
+
+    def test_diverging_fit_exits_3(self, train_run, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("qatlab.training.DIVERGENCE_LIMIT", 1e-9)
+        ckpt = str(train_run / "train-seed0" / "checkpoint.qat")
+        assert main(["qc", "--out", str(tmp_path), "--set", f"checkpoint={ckpt}"]) == 3
+        m = read_manifest(tmp_path / "qc-seed0")
+        assert m["status"] == "failed"
+        assert m["error"].startswith("correction fitting diverged (loss=")
+        assert "run failed: correction fitting diverged" in capsys.readouterr().err
 
     def test_fold_refuses_inexact_fold(self, tmp_path):
         """A negative BN gain sends a weight at the lowest code (-4 on the
@@ -481,7 +511,8 @@ class TestErrors:
         assert main(["fold", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
-        "override", ["ema_alphas=[1.0]", "ema_alphas=[]", 'ema_alphas=["x"]', "epochs=0"]
+        "override",
+        ["ema_alphas=[1.0]", "ema_alphas=[]", 'ema_alphas=["x"]', "epochs=0", "ema_alphas=[0.9,0.9]"],
     )
     def test_bad_ema_decay_settings(self, tmp_path, override):
         out = tmp_path / "out"

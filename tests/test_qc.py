@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qatlab import training
 from qatlab.datasets import gen_classification, gen_regression
 from qatlab.network import (
     CONV2D,
@@ -125,6 +126,12 @@ class TestFitQC:
         assert_same(before, snapshot(qnet))
         assert [l.bn.mode for l in qnet.layers if l.bn is not None] == modes
         assert all(l.qc_gamma is None for l in qnet.layers)
+
+    def test_divergence_guard(self, monkeypatch):
+        d, qnet = quantized_blob_net()
+        monkeypatch.setattr(training, "DIVERGENCE_LIMIT", 1e-9)
+        with pytest.raises(RuntimeError, match=r"correction fitting diverged \(loss="):
+            fit_qc(qnet, d.calib_x, d.calib_y, QCConfig())
 
     def test_reduces_calibration_loss(self):
         d, qnet = quantized_blob_net(seed=1)
@@ -339,11 +346,15 @@ class TestFold:
         with pytest.raises(ValueError, match="batch norm"):
             fold_bn_into_quant_scale(layer)
 
-    def test_per_channel_quantizer_rejected(self):
-        layer = folded_ready_layer(Rng(11))
-        layer.w_quant = init_scale(layer.weight, bits=4, granularity=PER_CHANNEL, axis=0)
-        with pytest.raises(ValueError, match="per-tensor"):
-            fold_bn_into_quant_scale(layer)
+    def test_per_channel_quantizer_folds(self):
+        for negative_gain in (False, True):
+            rng = Rng(11)
+            layer = folded_ready_layer(rng, negative_gain=negative_gain)
+            layer.w_quant = init_scale(layer.weight, bits=4, granularity=PER_CHANNEL, axis=0)
+            folded = self._check_equal(layer, rng)
+            t = layer.bn.gain / np.sqrt(layer.bn.running_var + layer.bn.eps)
+            np.testing.assert_array_equal(folded.w_quant.s, layer.w_quant.s * np.abs(t))
+            assert folded.w_quant.granularity == PER_CHANNEL and folded.w_quant.axis == 0
 
     def test_pending_correction_rejected(self):
         layer = folded_ready_layer(Rng(12))

@@ -21,6 +21,7 @@ from qatlab.quantizer import SCALE_FLOOR
 from qatlab.training import (
     AdamState,
     TrainConfig,
+    adam_batch,
     adam_step,
     attach_quantizers,
     evaluate,
@@ -373,6 +374,37 @@ class TestEvaluate:
         assert net.layers[0].bn.mode == "train"
 
 
+class TestAdamBatch:
+    def _net(self):
+        d = gen_classification(seed=0, n=200, classes=3, dim=2)
+        net = build_mlp(2, 3, hidden=(5,), rng=Rng(0), loss="softmax_ce")
+        return net, d.train_x[:16], d.train_y[:16]
+
+    def test_steps_only_the_given_params(self):
+        net, x, y = self._net()
+        before = {k: v.copy() for k, v in net.parameters().items()}
+        expect, _ = network.loss_and_grad(net.loss, forward(net.copy(), x, mode="latent"), y)
+        params = {"layer0.bias": net.parameters()["layer0.bias"]}
+        loss = adam_batch(net, AdamState(lr=0.1), params, x, y, "latent", "test")
+        assert loss == expect
+        for name, p in net.parameters().items():
+            changed = not np.array_equal(p, before[name])
+            assert changed == (name == "layer0.bias"), name
+
+    def test_dampening_adds_the_penalty(self):
+        net, x, y = self._net()
+        qnet = attach_quantizers(net, x, bits_w=3, bits_a=3)
+        plain, damped = qnet.copy(), qnet.copy()
+        penalty, _ = network.dampening_penalty(qnet, 0.5)
+        loss = adam_batch(plain, AdamState(), plain.parameters(), x, y, "quantized", "test")
+        loss_d = adam_batch(damped, AdamState(), damped.parameters(), x, y, "quantized", "test",
+                            dampening=0.5)
+        assert penalty > 0.0 and loss_d == loss + penalty
+        with pytest.raises(RuntimeError, match=r"^test diverged \(loss="):
+            adam_batch(qnet, AdamState(), qnet.parameters(), x, y, "quantized", "test",
+                       dampening=1e12)
+
+
 class TestTrainLatent:
     def test_blobs_reach_high_accuracy(self):
         d = gen_classification(seed=0, n=1000, classes=3, dim=2)
@@ -388,6 +420,16 @@ class TestTrainLatent:
         train_latent(net, d, epochs=20, batch=32, lr=1e-2, seed=0)
         after = evaluate(net, d.eval_x, d.eval_y, mode="latent")["loss"]
         assert after < before * 0.5
+
+    def test_divergence_guard(self, monkeypatch):
+        d = gen_classification(seed=0, n=200, classes=3, dim=2)
+        net = build_mlp(2, 3, hidden=(5,), rng=Rng(0), loss="softmax_ce")
+        before = {k: v.copy() for k, v in net.parameters().items()}
+        monkeypatch.setattr(training, "DIVERGENCE_LIMIT", 1e-9)
+        with pytest.raises(RuntimeError, match=r"pretraining diverged \(loss="):
+            train_latent(net, d, epochs=1)
+        for name, p in net.parameters().items():  # stopped before the first Adam step
+            np.testing.assert_array_equal(p, before[name], err_msg=name)
 
 
 class TestTrainQat:
