@@ -31,7 +31,7 @@ from .datasets import Dataset, build_dataset
 from .ema import materialize_ema
 from .network import build_cnn, build_mlp, forward
 from .numeric import Rng
-from .oscillation import flip_frequency, run_toy
+from .oscillation import flip_stats, run_toy
 from .qc import ABLATION_VARIANTS, absorb_corrections, fit_qc, fold_network, qc_ablation
 from .training import attach_quantizers, check_batch_fits, evaluate, shape_inputs
 from .training import train_latent, train_qat
@@ -141,16 +141,6 @@ def _history_columns(history):
     for row in history:
         present.update(row)
     return [c for c in METRIC_COLUMNS if c in present]
-
-
-def flip_stats(tracker):
-    if tracker.recorded < 2:
-        return {"mean_flip_frequency": 0.0, "oscillating_fraction": 0.0}
-    freq = flip_frequency(tracker)
-    return {
-        "mean_flip_frequency": float(freq.mean()),
-        "oscillating_fraction": float((freq > 0.05).mean()),
-    }
 
 
 def usable_cpus() -> int:

@@ -21,7 +21,7 @@ class EMAState(LaidOutState):
     warmup_iters: int = 0
     iter: int = 0
     shadows: dict[str, np.ndarray] = field(default_factory=dict)  # read-only after the first update
-    _flat: "_FlatShadows" = field(default=None, init=False, repr=False, compare=False)
+    _flat: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -32,43 +32,6 @@ class EMAState(LaidOutState):
     @property
     def effective_alpha(self) -> float:
         return 0.0 if self.iter < self.warmup_iters else self.alpha
-
-
-class _FlatShadows:
-    """Shadows laid out in one flat buffer for the names and shapes of the
-    first update's live dict, plus a scratch buffer of the same layout for
-    ``(1 - a) * live``.  The scratch lives with the state, so an update
-    allocates nothing: on a one-entry dict an allocation per call would
-    cost more than the update."""
-
-    def __init__(self, state: EMAState, live: dict):
-        _check_names(state.shadows, live, mid_run=state.iter > 0)
-        layout = FlatLayout(live)
-        self.fresh = [name for name in live if name not in state.shadows]
-        self.flat = layout.gather({**live, **state.shadows})
-        self.scaled = np.empty(layout.size)
-        views = layout.views(self.flat)
-        self.shadows = MappingProxyType(views)
-        scaled_views = layout.views(self.scaled).values()
-        self.entries = tuple(zip(views, views.values(), scaled_views))
-        self.count = len(self.entries)
-
-    def scale_live(self, live: dict, b: float):
-        """Write ``b * live`` into the scratch buffer; raise, leaving the
-        shadows alone, unless ``live`` has exactly this layout's names and
-        shapes."""
-        if len(live) == self.count:
-            try:
-                for name, view, scaled in self.entries:
-                    p = live[name]
-                    if p.shape != view.shape:
-                        break
-                    np.multiply(p, b, scaled)
-                else:
-                    return
-            except KeyError:
-                pass
-        _check_names(self.shadows, live, mid_run=True)  # raises: a name or shape differs
 
 
 def _check_names(shadows, live: dict, mid_run: bool):
@@ -95,28 +58,43 @@ def ema_update(state: EMAState, live: dict) -> EMAState:
     for the names and shapes of ``live``: a shadow seeded by hand before it
     is taken up, any other starts as its live value, and ``state.shadows``
     becomes a read-only mapping of views into one flat buffer (so the state
-    can no longer be copied or pickled).  Every later call must pass the
-    same names and shapes, with that mapping still bound to
-    ``state.shadows``, or it raises before anything changes.
+    can no longer be copied or pickled).  A scratch buffer of the same
+    layout takes ``(1 - a) * p``, so an update allocates nothing.  Every
+    later call must pass the same names and shapes, with that mapping still
+    bound to ``state.shadows``, or it raises before anything changes.
 
     The update is in place: ``sh *= a; sh += (1 - a) * p`` rounds exactly
     like ``a * sh + (1 - a) * p``, and with ``a = 0`` (warmup) the shadow
     becomes ``1 * p``, which is p.
     """
-    flat = state._flat or _FlatShadows(state, live)
-    if flat is state._flat and state.shadows is not flat.shadows:
+    laid_out = state._flat
+    if laid_out is None:
+        _check_names(state.shadows, live, mid_run=state.iter > 0)
+        layout = FlatLayout(live)
+        flat, scaled = layout.gather({**live, **state.shadows}), np.empty(layout.size)
+        views = layout.views(flat)
+        entries = tuple(zip(views, views.values(), layout.views(scaled).values()))
+        laid_out = flat, scaled, MappingProxyType(views), entries
+    elif state.shadows is not laid_out[2]:
         raise RuntimeError("EMAState.shadows was rebound after the first update")
+    flat, scaled, shadows, entries = laid_out
     a = state.effective_alpha
-    flat.scale_live(live, 1.0 - a)
+    if len(live) != len(entries):
+        _check_names(shadows, live, mid_run=True)
+    for name, view, out in entries:
+        if name not in live or live[name].shape != view.shape:
+            _check_names(shadows, live, mid_run=True)
+        np.multiply(live[name], 1.0 - a, out)
     if a == 0.0:
-        np.copyto(flat.flat, flat.scaled)
+        np.copyto(flat, scaled)
     else:
-        np.multiply(flat.flat, a, flat.flat)
-        np.add(flat.flat, flat.scaled, flat.flat)
+        flat *= a
+        flat += scaled
     if state._flat is None:
-        for name in flat.fresh:
-            np.copyto(flat.shadows[name], live[name])
-        state._flat, state.shadows = flat, flat.shadows
+        for name in live:
+            if name not in state.shadows:
+                np.copyto(shadows[name], live[name])
+        state._flat, state.shadows = laid_out, shadows
     state.iter += 1
     return state
 

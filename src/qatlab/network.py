@@ -242,7 +242,8 @@ def _activate(h, kind, grad: bool):
     if kind == "relu":
         return np.maximum(h, 0.0), (h > 0.0).astype(np.float64) if grad else None
     if kind == "silu":
-        sig = 1.0 / (1.0 + np.exp(-h))
+        with np.errstate(over="ignore"):  # exp(-h) is inf below h = -709: sig is 0
+            sig = 1.0 / (1.0 + np.exp(-h))
         out = h * sig
         if not grad:
             return out, None

@@ -110,6 +110,18 @@ def flip_frequency(t: OscillationTracker):
     return t.flip_counts / (t.recorded - 1)
 
 
+def flip_stats(t: OscillationTracker) -> dict:
+    """Mean flip frequency, and the fraction of parameters that oscillate
+    (flip frequency above 0.05); zeros before 2 recorded steps."""
+    if t.recorded < 2:
+        return {"mean_flip_frequency": 0.0, "oscillating_fraction": 0.0}
+    freq = flip_frequency(t)
+    return {
+        "mean_flip_frequency": float(freq.mean()),
+        "oscillating_fraction": float((freq > 0.05).mean()),
+    }
+
+
 @dataclass
 class BoundaryHistogram:
     counts: np.ndarray

@@ -164,6 +164,18 @@ def integer_code(w: np.ndarray, q: QuantizerState) -> np.ndarray:
     return round_to_grid(w, q)[1].astype(np.int64)
 
 
+def _reduce_axes(ndim: int, granularity: str, axis: int | None) -> tuple[int, ...] | None:
+    """The axes a scale reduces over: all (None) per tensor, every axis but
+    ``axis`` per channel."""
+    if granularity == PER_TENSOR:
+        return None
+    if granularity != PER_CHANNEL:
+        raise ValueError(f"unknown granularity {granularity!r}")
+    if axis is None:
+        raise ValueError("per-channel init_scale needs a channel axis")
+    return tuple(ax for ax in range(ndim) if ax != axis)
+
+
 def _scale_grad_norm(q: QuantizerState, n_elements: int) -> float:
     # Learned-step-size normalization; max(v, 1) keeps the 1-bit signed grid
     # (v = 0) from dividing by zero.
@@ -193,13 +205,8 @@ def quantize_backward(
     # Below the range code is u and above it v: the per-element d/ds.
     contrib = np.where(in_range, r - z, code)
     weighted = contrib * g_out
-    if q.granularity == PER_TENSOR:
-        g_s = np.asarray(weighted.sum() * _scale_grad_norm(q, z.size))
-    else:
-        reduce_axes = tuple(ax for ax in range(z.ndim) if ax != q.axis)
-        per_channel_n = z.size // z.shape[q.axis]
-        g_s = weighted.sum(axis=reduce_axes) * _scale_grad_norm(q, per_channel_n)
-    return g_w, g_s
+    g_s = weighted.sum(axis=_reduce_axes(z.ndim, q.granularity, q.axis))
+    return g_w, np.asarray(g_s * _scale_grad_norm(q, z.size // q.s.size))
 
 
 def soft_round(w: np.ndarray, q: QuantizerState, c: SoftRoundConfig) -> np.ndarray:
@@ -233,23 +240,10 @@ def init_scale(
     u, v = integer_range(bits, signed)
     denom = v if v >= 1 else abs(u)
 
-    abs_w = np.abs(w)
-    if granularity == PER_TENSOR:
-        if kind == "activation":
-            raw = np.percentile(abs_w, 99.9) / denom
-        else:
-            raw = abs_w.max() / denom
-        s0 = np.asarray(max(float(raw), SCALE_FLOOR))
-    elif granularity == PER_CHANNEL:
-        if axis is None:
-            raise ValueError("per-channel init_scale needs a channel axis")
-        reduce_axes = tuple(ax for ax in range(w.ndim) if ax != axis)
-        if kind == "activation":
-            raw = np.percentile(abs_w, 99.9, axis=reduce_axes) / denom
-        else:
-            raw = abs_w.max(axis=reduce_axes) / denom
-        s0 = np.maximum(raw, SCALE_FLOOR)
+    abs_w, axes = np.abs(w), _reduce_axes(w.ndim, granularity, axis)
+    if kind == "activation":
+        raw = np.percentile(abs_w, 99.9, axis=axes) / denom
     else:
-        raise ValueError(f"unknown granularity {granularity!r}")
-
+        raw = abs_w.max(axis=axes) / denom
+    s0 = np.maximum(raw, SCALE_FLOOR)
     return QuantizerState(s=s0, bits=bits, signed=signed, granularity=granularity, axis=axis)

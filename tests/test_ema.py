@@ -173,6 +173,40 @@ class TestFlatEmaOracle:
         live = self._live(shape)
         self._rejects(lambda st: ema_update(st, live), match="does not match live")
 
+    def test_last_shape_change_leaves_the_run_on_the_reference(self):
+        """Only the last entry's shape changes, so "a" is already scaled
+        into the scratch buffer when the mismatch is found; the shadows
+        stay as they were and the run goes on as the reference's does."""
+        rng = Rng(7)
+        flat, ref = EMAState(alpha=0.9), EMAState(alpha=0.9)
+
+        def step():
+            live = {"a": np.array(rng.normal((2, 3))), "b": np.array(rng.normal((4,)))}
+            ema_update(flat, live)
+            reference_ema_update(ref, live)
+
+        for _ in range(5):
+            step()
+        before = {name: sh.copy() for name, sh in flat.shadows.items()}
+        with pytest.raises(RuntimeError, match="does not match live"):
+            ema_update(flat, {"a": np.array(rng.normal((2, 3))), "b": np.zeros(5)})
+        assert flat.iter == 5
+        for name, shadow in before.items():
+            assert np.array_equal(flat.shadows[name], shadow), name
+        step()
+        _assert_same_shadows(flat, ref)
+
+    def test_insertion_order_of_live_does_not_matter(self):
+        rng = Rng(8)
+        laid_out, reordered = EMAState(alpha=0.8), EMAState(alpha=0.8)
+        for st in (laid_out, reordered):
+            ema_update(st, self._live())
+        for _ in range(20):
+            a, b = rng.normal((2, 3)), rng.normal((4,))
+            ema_update(laid_out, {"a": a, "b": b})
+            ema_update(reordered, {"b": b, "a": a})
+        _assert_same_shadows(reordered, laid_out)
+
     def test_left_out_name_rejected(self):
         live = {"a": np.zeros((2, 3))}
         self._rejects(lambda st: ema_update(st, live), match="'b' is missing from the update")

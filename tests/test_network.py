@@ -19,7 +19,7 @@ from qatlab.network import (
     loss_and_grad,
     make_bn,
 )
-from qatlab.network import _bn_backward, _bn_forward
+from qatlab.network import _activate, _bn_backward, _bn_forward
 from qatlab.numeric import Rng
 from qatlab.quantizer import QuantizerState, init_scale, quantize, quantize_backward, round_to_grid
 from qatlab.training import attach_quantizers
@@ -136,6 +136,15 @@ def reference_conv_pass(net, x, loss_grad, mode):
 
 
 class TestForward:
+    def test_silu_far_below_zero_warns_nothing(self):
+        # exp(800) overflows to inf, so the sigmoid is exactly 0; the suite
+        # turns any RuntimeWarning into an error.
+        out, d = _activate(np.array([-800.0, 0.0, 3.0]), "silu", grad=True)
+        want_out = [-0.0, 0.0, float.fromhex("0x1.6dc9d8d293c0ep+1")]
+        want_d = [-0.0, 0.5, float.fromhex("0x1.168dfd9dfa7cfp+0")]
+        assert out.tobytes() == np.array(want_out).tobytes()
+        assert d.tobytes() == np.array(want_d).tobytes()
+
     def test_identity_network(self):
         net = NetworkSpec(
             layers=[dense_layer(np.eye(4))], input_shape=(4,), loss="mse"
