@@ -341,12 +341,9 @@ def task_toy(cfg: ExperimentConfig):
             + [f"q_w_{i}" for i in range(n)]
             + ["s_w", "s_x", "loss", "flips"]
         )
-        codes = trace["codes"]
-        per_step_flips = np.zeros(len(codes), dtype=np.int64)
-        per_step_flips[1:] = (codes[1:] != codes[:-1]).sum(axis=1)
         columns = [*trace["w"].T, *trace["q_w"].T, trace["s_w"], trace["s_x"], trace["loss"],
-                   np.cumsum(per_step_flips)]
-        rows = list(zip(range(len(codes)), *(c.tolist() for c in columns)))
+                   np.cumsum(trace["flips"])]
+        rows = list(zip(range(len(trace["flips"])), *(c.tolist() for c in columns)))
         write_csv(run_dir / "toy_trace.csv", header, rows)
         final = {
             "final_loss": float(trace["loss"][-1]),

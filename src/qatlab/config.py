@@ -5,7 +5,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import Literal, get_args, get_origin
 
@@ -63,7 +63,7 @@ class ExperimentConfig:
     soft_round_k: float = 0.45
     ablate_kind: Literal["qc", "ema_decay"] = "qc"
     ema_alphas: list = field(default_factory=lambda: [0.99, 0.999, 0.9999])
-    runs: list = field(default_factory=list)
+    runs: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         _check_types("", vars(self), {f.name: f.type for f in dataclasses.fields(self)})
@@ -122,10 +122,11 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
+    # The bound rejects inf and nan, and an int past float range without converting it.
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max
     )
 
 
@@ -143,6 +144,8 @@ _TYPE_CHECKS = {
         "a list of integers",
     ),
     list: (lambda v: isinstance(v, list), "a list"),
+    list[str]: (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                "a list of strings"),
     dict: (lambda v: isinstance(v, dict), "an object"),
 }
 
@@ -182,7 +185,7 @@ def check_dataset(spec: dict):
 def _build(what, make):
     try:
         make()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int past float range
         raise ValueError(f"bad {what}: {exc}") from None
 
 

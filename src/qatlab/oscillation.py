@@ -122,15 +122,9 @@ def flip_stats(t: OscillationTracker) -> dict:
     }
 
 
-@dataclass
-class BoundaryHistogram:
-    counts: np.ndarray
-    edges: np.ndarray
-    bin_count: int
-
-
-def boundary_histogram(w, q: QuantizerState, bins: int) -> BoundaryHistogram:
-    """Bin in-range latents by distance-to-threshold d = |frac(w/s) - 0.5|.
+def boundary_histogram(w, q: QuantizerState, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bin in-range latents by distance-to-threshold d = |frac(w/s) - 0.5|;
+    returns ``np.histogram``'s ``(counts, edges)`` over [0, 0.5].
 
     d = 0 means the latent sits exactly on a rounding threshold, d = 0.5
     exactly on a quantization level.  Non-finite input is rejected, as by
@@ -141,8 +135,7 @@ def boundary_histogram(w, q: QuantizerState, bins: int) -> BoundaryHistogram:
     rounding = round_to_grid(w, q)[2]
     z = rounding.z[rounding.in_range]
     d = np.abs((z - np.floor(z)) - 0.5)
-    counts, edges = np.histogram(d, bins=bins, range=(0.0, 0.5))
-    return BoundaryHistogram(counts=counts, edges=edges, bin_count=bins)
+    return np.histogram(d, bins=bins, range=(0.0, 0.5))
 
 
 def toy_objective(w, s_w: QuantizerState, s_x: QuantizerState, x_batch, w_star):
@@ -165,10 +158,10 @@ def _mean_norm(e):
 def run_toy(p: ToyProblem, rng: Rng = None):
     """Plain gradient descent on (w, s_w, s_x) through the quantizer.
 
-    Records every step: latent w, q(w), both scales, batch loss, and the
-    integer codes fed to the tracker, with the EMA shadows of all three
-    trainables and their codes beside them; the shadows are passive, so the
-    live run is the same as without them.
+    Records every step: latent w, q(w), both scales, batch loss, the
+    integer codes and their flips since the step before (0 at step 0), with
+    the EMA shadows of all three trainables and their codes beside them; the
+    shadows are passive, so the live run is the same as without them.
     Aborts if the reported loss exceeds DIVERGENCE_LIMIT.
 
     The step loop keeps only what the next step depends on, and writes each
@@ -178,7 +171,8 @@ def run_toy(p: ToyProblem, rng: Rng = None):
     in bulk by the same functions on the same doubles, so every bit is a
     per-step loop's: one draw of all batches (Philox yields the same doubles
     in one call as in many), one rounding of the shadow rows at a per-row
-    scale for the shadow codes, and the tracker fed the code rows at the end.
+    scale for the shadow codes, and one change mask of consecutive code rows
+    for the flips and the tracker, which holds what record_step would count.
     """
     if rng is None:
         raise ValueError("run_toy needs an explicit rng")
@@ -213,12 +207,14 @@ def run_toy(p: ToyProblem, rng: Rng = None):
         ema_update(ema, live)
 
     codes = codes.astype(np.int64)
+    changed = codes[1:] != codes[:-1]
+    flips = np.concatenate(([0], changed.sum(axis=1)))
     tracker = OscillationTracker()
-    for row in codes:
-        record_step(tracker, row)
+    tracker.flip_counts, tracker._last = changed.sum(axis=0), codes[-1].copy()
+    tracker.recorded = p.steps
     per_row = replace(q_w, s=ema_s_ws, granularity=PER_CHANNEL, axis=0)
     trace = {"w": ws, "q_w": q_ws, "s_w": s_ws, "s_x": s_xs, "loss": losses, "codes": codes,
-             "ema_w": ema_ws, "ema_s_w": ema_s_ws, "ema_s_x": ema_s_xs,
+             "flips": flips, "ema_w": ema_ws, "ema_s_w": ema_s_ws, "ema_s_x": ema_s_xs,
              "ema_codes": integer_code(ema_ws, per_row)}
     eval_x = rng.child("toy_eval").uniform((4096,), p.x_lo, p.x_hi)
     trace["final_eval_loss"] = toy_objective(w, q_w, q_x, eval_x, p.w_star)

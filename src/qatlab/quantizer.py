@@ -17,6 +17,7 @@ downstream determinism guarantee depends on one fixed choice.
 
 from __future__ import annotations
 
+import math
 from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -150,7 +151,7 @@ def round_to_grid(
     s = q.broadcast_scale(w)
     z = w / s
     r = round_half_away(z)
-    code = np.clip(r, q.u, q.v)
+    code = r.clip(q.u, q.v)
     return s * code, code, Rounding(z, r, code)
 
 
@@ -179,7 +180,7 @@ def _reduce_axes(ndim: int, granularity: str, axis: int | None) -> tuple[int, ..
 def _scale_grad_norm(q: QuantizerState, n_elements: int) -> float:
     # Learned-step-size normalization; max(v, 1) keeps the 1-bit signed grid
     # (v = 0) from dividing by zero.
-    return 1.0 / np.sqrt(n_elements * max(q.v, 1))
+    return 1.0 / math.sqrt(n_elements * max(q.v, 1))
 
 
 def quantize_backward(

@@ -1,14 +1,18 @@
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qatlab import cli
 from qatlab.checkpoint import (
@@ -18,7 +22,7 @@ from qatlab.checkpoint import (
     save_checkpoint,
 )
 from qatlab.cli import main
-from qatlab.config import resolve_config
+from qatlab.config import _SECTION_TYPES, ExperimentConfig, resolve_config
 from qatlab.network import DENSE, LayerSpec, NetworkSpec, make_bn
 from qatlab.quantizer import QuantizerState
 from qatlab.training import TrainConfig, attach_quantizers, evaluate, train_latent, train_qat
@@ -528,7 +532,10 @@ class TestErrors:
          'dataset.teacher="x"', "seeds=[-1]", "seeds=[340282366920938463463374607431768211456]",
          "seeds=[0,0]", "toy.w_star=[]", "toy.w_star=[NaN]", "toy.w_star=[Infinity]",
          "toy.s_w0=0", "toy.s_x0=0", "dataset.labels_path=5", "dataset.labels_path=true",
-         "dataset.labels_path=0", "dataset.target=5", "dataset.eval_fraction=0"],
+         "dataset.labels_path=0", "dataset.target=5", "dataset.eval_fraction=0",
+         "runs=[1]", "runs=[0.5]", "runs=[null]", "runs=[true]", "runs=[[1]]",
+         pytest.param(f"soft_round_k={10**400}", id="soft_round_k=10**400"),
+         pytest.param(f"toy.w_star=[{10**400}]", id="toy.w_star=[10**400]")],
     )
     def test_bad_config_types(self, tmp_path, override):
         out = tmp_path / "out"
@@ -727,6 +734,51 @@ class TestErrors:
     def test_cnn_needs_16_features(self, tmp_path):
         assert main(["train", "--out", str(tmp_path), "--set", "network=cnn",
                      "--set", "dataset.dim=4"]) == 2
+
+
+# Every top-level config field but dataset, whose own fuzz is in test_dataset_fuzz.py.
+SET_KEYS = sorted(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "dataset")
+SECTION_KEYS = sorted({k for section in ("ema", "qc", "toy") for k in _SECTION_TYPES[section]})
+
+
+def _json_texts():
+    """JSON text of every type: null, bool, int (also past float range),
+    finite and overflowing float, short string, a list of these, and an
+    object of these and lists, keyed by section keys or short strings."""
+    scalars = st.one_of(
+        st.none().map(json.dumps),
+        st.booleans().map(json.dumps),
+        st.integers().map(json.dumps),
+        st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+        st.sampled_from(["1e999", "-1e999", str(10**400)]),
+        st.text(max_size=3).map(json.dumps),
+    )
+    lists = st.lists(scalars, max_size=3).map(lambda xs: f"[{','.join(xs)}]")
+    keys = st.sampled_from(SECTION_KEYS) | st.text(max_size=3)
+    objects = st.dictionaries(keys, scalars | lists, max_size=2).map(
+        lambda d: "{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in d.items()) + "}"
+    )
+    return scalars | lists | objects
+
+
+def test_set_fuzz_exits_0_or_2(tmp_path, capfd, monkeypatch):
+    """Config checks do not depend on the task, and a report with nothing
+    to read is cheap: whatever one --set gives a top-level key, report
+    exits 0 or 2, and a 2 leaves no run directory."""
+    monkeypatch.chdir(tmp_path)  # a drawn run path names no manifest here
+    out = tmp_path / "out"
+
+    @settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+    @given(key=st.sampled_from(SET_KEYS), value=_json_texts())
+    def run(key, value):
+        shutil.rmtree(out, ignore_errors=True)
+        rc = main(["report", "--out", str(out), "--set", f"{key}={value}"])
+        assert rc in (0, 2), (key, value)
+        if rc == 2:
+            assert not out.exists(), (key, value)
+        assert "Traceback" not in capfd.readouterr().err
+
+    run()
 
 
 def test_build_dataset_from_csv(tmp_path):

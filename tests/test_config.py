@@ -61,6 +61,13 @@ class TestValidation:
             {"toy": {"w_star": [float("inf")]}},
             {"toy": {"s_w0": 0.0}},
             {"toy": {"s_x0": 0}},
+            {"runs": [1]},
+            {"runs": [0.5]},
+            {"runs": [None]},
+            {"runs": [True]},
+            {"runs": [[1]]},
+            {"lr": 10**400},
+            {"toy": {"w_star": [10**400]}},
         ],
     )
     def test_bad_field(self, kwargs):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from qatlab import oscillation
 from qatlab.ema import EMAState, ema_update
 from qatlab.numeric import Rng
 from qatlab.oscillation import (
     DIVERGENCE_LIMIT,
-    BoundaryHistogram,
     OscillationTracker,
     ToyProblem,
     boundary_histogram,
@@ -51,7 +51,8 @@ def reference_run_toy(p, rng):
     w = p.w_star.copy()
     tracker = OscillationTracker()
     ema = EMAState(alpha=p.ema_alpha, warmup_iters=int(p.ema_warmup_frac * p.steps))
-    keys = ("w", "q_w", "s_w", "s_x", "loss", "codes", "ema_w", "ema_s_w", "ema_s_x", "ema_codes")
+    keys = ("w", "q_w", "s_w", "s_x", "loss", "codes", "flips",
+            "ema_w", "ema_s_w", "ema_s_x", "ema_codes")
     rows = {k: [] for k in keys}
     for step in range(p.steps):
         x = rng.uniform((p.batch_size,), p.x_lo, p.x_hi)
@@ -65,6 +66,7 @@ def reference_run_toy(p, rng):
         rows["s_w"].append(float(q_w.s))
         rows["s_x"].append(float(q_x.s))
         rows["loss"].append(loss)
+        rows["flips"].append(int((codes != rows["codes"][-1]).sum()) if step else 0)
         rows["codes"].append(codes)
         sh_w = ema.shadows.get("w", w)
         sh_sw = float(ema.shadows.get("s_w", q_w.s))
@@ -190,30 +192,30 @@ class TestBoundaryHistogram:
     def test_on_levels_mass_at_half(self):
         q = qw(0.5, bits=4)
         w = 0.5 * np.arange(-8, 8).astype(np.float64)
-        h = boundary_histogram(w, q, bins=10)
-        assert h.counts[-1] == 16
-        assert h.counts[:-1].sum() == 0
+        counts, _ = boundary_histogram(w, q, bins=10)
+        assert counts[-1] == 16
+        assert counts[:-1].sum() == 0
 
     def test_on_thresholds_mass_at_zero(self):
         q = qw(0.5, bits=4)
         w = 0.5 * (np.arange(-7, 7) + 0.5)
-        h = boundary_histogram(w, q, bins=10)
-        assert h.counts[0] == 14
-        assert h.counts[1:].sum() == 0
+        counts, _ = boundary_histogram(w, q, bins=10)
+        assert counts[0] == 14
+        assert counts[1:].sum() == 0
 
     def test_counts_conserved_with_clipping(self):
         q = qw(0.1, bits=4)
         w = np.array([0.26, -0.79, 5.0, 0.0, 0.31])  # 5.0 clips above
-        h = boundary_histogram(w, q, bins=5)
-        assert h.counts.sum() == 4
+        counts, _ = boundary_histogram(w, q, bins=5)
+        assert counts.sum() == 4
 
     def test_uniform_cell_is_flat(self):
         rng = Rng(7)
         q = qw(1.0, bits=8)
         w = rng.uniform((200_000,), 3.0, 4.0)
-        h = boundary_histogram(w, q, bins=10)
+        counts, _ = boundary_histogram(w, q, bins=10)
         expect = 20_000
-        assert np.abs(h.counts - expect).max() < 5 * np.sqrt(expect)
+        assert np.abs(counts - expect).max() < 5 * np.sqrt(expect)
 
     def test_bins_validation(self):
         with pytest.raises(ValueError):
@@ -271,6 +273,13 @@ class TestRunToy:
                           (tracker._last, ref_tracker._last)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+
+    def test_counts_flips_without_record_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oscillation, "record_step", lambda *args: calls.append(args))
+        _, tracker = run_toy(ToyProblem(steps=300), rng=Rng(3))
+        assert calls == []
+        assert tracker.recorded == 300 and tracker.flip_counts.any()
 
     def test_one_rounding_per_quantizer_per_step(self, rounding_calls):
         # Each step rounds x and w once; the shadow codes are one rounding
