@@ -31,7 +31,7 @@ from .datasets import Dataset, build_dataset
 from .ema import materialize_ema
 from .network import build_cnn, build_mlp, forward
 from .numeric import Rng
-from .oscillation import flip_stats, run_toy
+from .oscillation import flip_stats, run_toys
 from .qc import ABLATION_VARIANTS, absorb_corrections, fit_qc, fold_network, qc_ablation
 from .training import attach_quantizers, check_batch_fits, evaluate, shape_inputs
 from .training import train_latent, train_qat
@@ -41,6 +41,10 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 OUT_ENV = "QATLAB_OUT"
+
+# The most toy seeds one loop steps together.  Eight amortise the loop's
+# per-call cost; each seed holds about 4 MB of arrays at 10,000 steps.
+TOY_SEEDS_PER_LOOP = 8
 
 # Canonical order for metrics columns and report method rows.
 METRIC_COLUMNS = (
@@ -153,35 +157,43 @@ def usable_cpus() -> int:
 def map_seeds(fn, seeds):
     """Run ``fn(seed)`` for every seed and return the results in seed order.
     Every seed runs; if any failed, the first failure in seed order is
-    raised once all have finished.
-
-    Several seeds run in a pool of forked worker processes, one per usable
-    CPU up to one per seed.  Each seed draws only from its own
-    ``Rng(seed)``, so a worker computes the same bits the parent would.
-    Forking hands ``fn`` to the workers as it is, closures and
-    monkeypatched module globals included; only seeds, results and
-    exceptions are pickled.  A worker that dies fails every seed the pool
-    had not finished with a RuntimeError.  One seed, one usable CPU or no
-    ``fork`` runs the seeds in this process."""
-    workers = min(len(seeds), usable_cpus())
-    if workers > 1 and hasattr(os, "fork"):
-        outcomes = _forked_outcomes(fn, seeds, workers)
-    else:
-        outcomes = [_outcome(fn, seed) for seed in seeds]
+    raised once all have finished.  The seeds run through ``map_groups``,
+    one group each."""
+    outcomes = map_groups(lambda group: [_outcome(fn, group[0])], [[seed] for seed in seeds])
     for _, error in outcomes:
         if error is not None:
             raise error
     return [result for result, _ in outcomes]
 
 
+def map_groups(fn, groups):
+    """Run ``fn(group)`` for every group of seeds and return the outcomes
+    of all their seeds, group after group.  ``fn`` returns one ``(result,
+    error)`` pair per seed of its group, in the group's order, and raises
+    nothing.
+
+    Several groups run in a pool of forked worker processes, one per usable
+    CPU up to one per group.  Each seed draws only from its own
+    ``Rng(seed)``, so a worker computes the same bits the parent would.
+    Forking hands ``fn`` to the workers as it is, closures and
+    monkeypatched module globals included; only groups and outcomes are
+    pickled.  A worker that dies fails every seed of every group the pool
+    had not finished with a RuntimeError.  One group, one usable CPU or no
+    ``fork`` runs the groups in this process."""
+    workers = min(len(groups), usable_cpus())
+    if workers > 1 and hasattr(os, "fork"):
+        return _forked_outcomes(fn, groups, workers)
+    return [outcome for group in groups for outcome in fn(group)]
+
+
 def _outcome(fn, seed):
     try:
         return fn(seed), None
-    except Exception as exc:  # the other seeds still run; map_seeds raises it
+    except Exception as exc:  # the other seeds still run; the caller raises it
         return None, exc
 
 
-_worker_fn = None  # the per-seed function, in a forked worker only
+_worker_fn = None  # the per-group function, in a forked worker only
 
 
 def _install_worker_fn(fn):
@@ -189,11 +201,11 @@ def _install_worker_fn(fn):
     _worker_fn = fn
 
 
-def _call_worker_fn(seed):
-    return _worker_fn(seed)
+def _call_worker_fn(group):
+    return _worker_fn(group)
 
 
-def _forked_outcomes(fn, seeds, workers):
+def _forked_outcomes(fn, groups, workers):
     # Imported here: loading them costs every process ~17 ms of start-up.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -207,44 +219,44 @@ def _forked_outcomes(fn, seeds, workers):
         initializer=_install_worker_fn,
         initargs=(fn,),
     ) as pool:
-        futures = [pool.submit(_call_worker_fn, seed) for seed in seeds]
+        futures = [pool.submit(_call_worker_fn, group) for group in groups]
         outcomes = []
-        for seed, future in zip(seeds, futures):
+        for group, future in zip(groups, futures):
             try:
-                outcomes.append((future.result(), None))
+                outcomes += future.result()
             except BrokenProcessPool:
-                lost = RuntimeError(f"seed {seed} did not finish: a worker process died")
-                outcomes.append((None, lost))
+                outcomes += [
+                    (None, RuntimeError(f"seed {seed} did not finish: a worker process died"))
+                    for seed in group
+                ]
             except Exception as exc:
-                outcomes.append((None, exc))
+                outcomes += [(None, exc)] * len(group)
     return outcomes
 
 
+def _run_seed(cfg, seed, work, before=0.0):
+    """Run ``work(seed, run_dir)`` and give it an ``ok`` manifest; ``work``
+    returns the artifacts it wrote and the extra manifest fields.  If it
+    fails, write a flagged manifest over whatever partial artifacts it left
+    and re-raise.  ``before`` is time spent on the seed before this call,
+    which its ``wall_time_s`` includes."""
+    run_dir = run_dir_for(cfg, seed)
+    start = time.perf_counter() - before
+    try:
+        artifacts, extra = work(seed, run_dir)
+        write_manifest(run_dir, cfg, seed, time.perf_counter() - start, artifacts, **extra)
+    except (ValueError, RuntimeError, OSError) as exc:
+        wall = time.perf_counter() - start
+        existing = [p.name for p in run_dir.iterdir() if p.name != "manifest.json"]
+        write_manifest(run_dir, cfg, seed, wall, existing, status="failed", error=str(exc))
+        raise
+
+
 def _per_seed(cfg, work):
-    """Run ``work(seed, run_dir)`` for every seed through ``map_seeds``.
-    ``work`` returns the artifacts it wrote and the extra manifest fields,
-    and gets an ``ok`` manifest.  A failing seed gets a flagged manifest
-    over whatever partial artifacts it left; the other seeds still run, and
-    then the first failure in seed order propagates so the exit code
-    reflects its kind."""
-
-    def one(seed):
-        run_dir = run_dir_for(cfg, seed)
-        start = time.perf_counter()
-        try:
-            artifacts, extra = work(seed, run_dir)
-            write_manifest(
-                run_dir, cfg, seed, time.perf_counter() - start, artifacts, **extra
-            )
-        except (ValueError, RuntimeError, OSError) as exc:
-            wall = time.perf_counter() - start
-            existing = [p.name for p in run_dir.iterdir() if p.name != "manifest.json"]
-            write_manifest(
-                run_dir, cfg, seed, wall, existing, status="failed", error=str(exc)
-            )
-            raise
-
-    map_seeds(one, cfg.seeds)
+    """Run ``_run_seed`` for every seed through ``map_seeds``: a failing
+    seed does not stop the others, and then the first failure in seed order
+    propagates so the exit code reflects its kind."""
+    map_seeds(lambda seed: _run_seed(cfg, seed, work), cfg.seeds)
 
 
 def _qat_run(cfg: ExperimentConfig, dataset, seed, ema_alphas=None):
@@ -329,11 +341,18 @@ def _eval_before_after(before: dict, after: dict) -> dict:
     return row
 
 
+def _toy_groups(seeds) -> list:
+    """``seeds`` dealt round-robin into one group per usable CPU (up to one
+    per seed), and into more groups where that would put more than
+    TOY_SEEDS_PER_LOOP seeds in one."""
+    n = max(min(len(seeds), usable_cpus()), -(-len(seeds) // TOY_SEEDS_PER_LOOP))
+    return [seeds[i::n] for i in range(n)]
+
+
 def task_toy(cfg: ExperimentConfig):
     problem = cfg.toy_problem()
 
-    def work(seed, run_dir):
-        trace, tracker = run_toy(problem, rng=Rng(seed))
+    def write(run_dir, trace, tracker):
         n = trace["w"].shape[1]
         header = (
             ["iter"]
@@ -353,7 +372,31 @@ def task_toy(cfg: ExperimentConfig):
         }
         return ["toy_trace.csv"], {"final": final}
 
-    _per_seed(cfg, work)
+    def run_group(group):
+        """One loop steps the group's seeds, then each seed writes its own
+        files; its wall time is the loop's plus its own writing.  A seed
+        alone in its group, or in a group whose loop failed, runs its own
+        loop, for its own outcome and manifest."""
+        start = time.perf_counter()
+        results = {}
+        try:
+            if len(group) > 1:
+                results = dict(zip(group, run_toys(problem, [Rng(seed) for seed in group])))
+        except Exception:  # each seed reruns alone below and reports its own failure
+            pass
+        loop_s = time.perf_counter() - start if results else 0.0
+
+        def work(seed, run_dir):
+            result = results.pop(seed, None) or run_toys(problem, [Rng(seed)])[0]
+            return write(run_dir, *result)
+
+        return [_outcome(lambda seed: _run_seed(cfg, seed, work, loop_s), seed) for seed in group]
+
+    groups = _toy_groups(cfg.seeds)
+    outcomes = dict(zip([seed for group in groups for seed in group], map_groups(run_group, groups)))
+    for seed in cfg.seeds:  # the first failure in seed order decides
+        if outcomes[seed][1] is not None:
+            raise outcomes[seed][1]
 
 
 def task_train(cfg: ExperimentConfig):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .ema import EMAState, ema_update
+from .flat import FlatLayout
 from .numeric import Rng
 from .quantizer import (
     PER_CHANNEL,
@@ -34,7 +35,9 @@ class ToyProblem:
     w_star coordinates are expressed relative to the initial weight step
     size.  The defaults sit off-grid in the representable (negative) half of
     the 1-bit signed grid, so every coordinate pulls on the shared step size
-    and the code flipping never anneals away.
+    and the code flipping never anneals away.  ``ema_warmup_iters``, the
+    steps before the shadows start to average, is derived from
+    ``ema_warmup_frac`` and ``steps``.
     """
 
     w_star: np.ndarray = dc_field(
@@ -68,6 +71,9 @@ class ToyProblem:
             raise ValueError("x range must be non-empty")
         if not 0.0 <= self.ema_alpha < 1.0 or self.ema_warmup_frac < 0.0:
             raise ValueError("ema_alpha must be in [0, 1) and ema_warmup_frac >= 0")
+        # Derived here, so that a step count past float range fails when
+        # the problem is built: the config rejects it before any run starts.
+        self.ema_warmup_iters = int(self.ema_warmup_frac * self.steps)
 
 
 class OscillationTracker:
@@ -143,83 +149,130 @@ def toy_objective(w, s_w: QuantizerState, s_x: QuantizerState, x_batch, w_star):
     x = np.asarray(x_batch, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("x_batch must be 1-d")
-    return _mean_norm(_residual(x, quantize(x, s_x), quantize(w, s_w), w_star))
-
-
-def _residual(x, qx, qw, w_star):
-    return x[:, None] * np.asarray(w_star)[None, :] - qx[:, None] * qw[None, :]
+    qx, qw = quantize(x, s_x), quantize(w, s_w)
+    return float(_mean_norm(x[:, None] * np.asarray(w_star) - qx[:, None] * qw))
 
 
 def _mean_norm(e):
+    """Mean over the batch axis (-2) of the L2 norms over the last axis."""
     # np.add.reduce is what np.sum and np.mean reduce with, minus their wrappers.
-    return float(np.add.reduce(np.sqrt(np.add.reduce(e * e, axis=1))) / len(e))
+    return np.add.reduce(np.sqrt(np.add.reduce(e * e, axis=-1)), axis=-1) / e.shape[-2]
+
+
+def _with_targets(xs, w_star, chunk=1024):
+    """Each step's batch x with its x * w_star, the products taken in bulk
+    for a chunk of steps at a time."""
+    for first in range(0, len(xs), chunk):
+        block = xs[first:first + chunk]
+        yield from zip(block, block * w_star)
 
 
 def run_toy(p: ToyProblem, rng: Rng = None):
-    """Plain gradient descent on (w, s_w, s_x) through the quantizer.
-
-    Records every step: latent w, q(w), both scales, batch loss, the
-    integer codes and their flips since the step before (0 at step 0), with
-    the EMA shadows of all three trainables and their codes beside them; the
-    shadows are passive, so the live run is the same as without them.
-    Aborts if the reported loss exceeds DIVERGENCE_LIMIT.
-
-    The step loop keeps only what the next step depends on, and writes each
-    step into preallocated rows: it rounds x and w once each (for the
-    residual, the codes and the straight-through backward), updates w and
-    the scales in place and folds them into the shadows.  The rest is done
-    in bulk by the same functions on the same doubles, so every bit is a
-    per-step loop's: one draw of all batches (Philox yields the same doubles
-    in one call as in many), one rounding of the shadow rows at a per-row
-    scale for the shadow codes, and one change mask of consecutive code rows
-    for the flips and the tracker, which holds what record_step would count.
-    """
+    """One seed of ``run_toys``: its ``(trace, tracker)``."""
     if rng is None:
         raise ValueError("run_toy needs an explicit rng")
-    q_w = QuantizerState(s=np.asarray(float(p.s_w0)), bits=p.bits_w, signed=True)
-    q_x = QuantizerState(s=np.asarray(float(p.s_x0)), bits=p.bits_x, signed=False)
-    w = p.w_star.copy()
-    ema = EMAState(alpha=p.ema_alpha, warmup_iters=int(p.ema_warmup_frac * p.steps))
-    live = {"w": w, "s_w": q_w.s, "s_x": q_x.s}
-    xs = rng.uniform((p.steps, p.batch_size), p.x_lo, p.x_hi)
-    ws, q_ws, codes, ema_ws = (np.empty((p.steps, w.size)) for _ in range(4))
-    s_ws, s_xs, losses, ema_s_ws, ema_s_xs = (np.empty(p.steps) for _ in range(5))
+    return run_toys(p, [rng])[0]
 
-    for step, x in enumerate(xs):
+
+def run_toys(p: ToyProblem, rngs):
+    """Plain gradient descent on (w, s_w, s_x) through the quantizer, for
+    one seed per rng, all stepped together in one loop.
+
+    Returns each seed's ``(trace, tracker)``.  The trace records every
+    step: latent w, q(w), both scales, batch loss, the integer codes and
+    their flips since the step before (0 at step 0), with the EMA shadows
+    of all three trainables and their codes beside them; the shadows are
+    passive, so the live run is the same as without them.  Aborts if any
+    seed's reported loss exceeds DIVERGENCE_LIMIT.
+
+    The seeds lie along a leading axis: x is (S, B, 1) and w (S, 1, 3),
+    and each quantizer holds one scale per seed (per channel, axis 0), so
+    a step makes the same numpy calls for any number of seeds.  Every
+    operation is elementwise or reduces within one seed, in the order a
+    single seed's loop takes, so each seed gets the bits it would get
+    alone.  The step loop keeps only what the next step depends on, and
+    writes each step into preallocated rows: it rounds x and w once each
+    (for the residual, the codes and the straight-through backward),
+    updates w and the scales in place and folds them into the shadows.
+    The rest is done in bulk on the same doubles: one draw of all of a
+    seed's batches (Philox yields the same doubles in one call as in
+    many), x * w_star a chunk of steps at a time, the q(w) rows as scale
+    times code, one rounding of the shadow rows at a per-row scale for the
+    shadow codes, and one change mask of consecutive code rows for the
+    flips and the tracker, which holds what record_step would count.
+    """
+    if not rngs or any(rng is None for rng in rngs):
+        raise ValueError("run_toys needs an explicit rng per seed")
+    n, steps, dim = len(rngs), p.steps, p.w_star.size
+    start = {"w": np.tile(p.w_star, (n, 1, 1)),
+             "s_w": np.full(n, float(p.s_w0)), "s_x": np.full(n, float(p.s_x0))}
+    # w and both scales lie end to end in one buffer and their gradients in
+    # another, so one row write records them and one subtraction steps them.
+    layout = FlatLayout(start)
+    params, grads = layout.gather(start), np.empty(layout.size)
+    live, grad = layout.views(params), layout.views(grads)
+    w, scales = live["w"], params[n * dim:]
+    q_w, q_x = (
+        QuantizerState(s=live[name], bits=bits, signed=signed, granularity=PER_CHANNEL, axis=0)
+        for name, bits, signed in (("s_w", p.bits_w, True), ("s_x", p.bits_x, False))
+    )
+    ema = EMAState(alpha=p.ema_alpha, warmup_iters=p.ema_warmup_iters)
+    xs = np.empty((steps, n, p.batch_size, 1))
+    for i, rng in enumerate(rngs):
+        xs[:, i, :, 0] = rng.uniform((steps, p.batch_size), p.x_lo, p.x_hi)
+    rows = np.empty((steps, layout.size))
+    codes, ema_ws = (np.empty((steps, n, 1, dim)) for _ in range(2))
+    losses, ema_s_ws, ema_s_xs = (np.empty((steps, n)) for _ in range(3))
+    g_scale = -2.0 / p.batch_size
+
+    for step, (x, target) in enumerate(_with_targets(xs, p.w_star)):
         qx, _, x_round = round_to_grid(x, q_x)
         qw, w_code, w_round = round_to_grid(w, q_w)
-        e = _residual(x, qx, qw, p.w_star)
+        e = target - qx * qw
         loss = _mean_norm(e)
-        if not loss <= DIVERGENCE_LIMIT:  # NaN fails the comparison too
-            raise RuntimeError(f"toy run diverged at step {step}: loss={loss}")
+        if not loss.max() <= DIVERGENCE_LIMIT:  # NaN fails the comparison too
+            worst = loss[~(loss <= DIVERGENCE_LIMIT)][0]
+            raise RuntimeError(f"toy run diverged at step {step}: loss={float(worst)}")
         sh = ema.shadows or live  # before the first update the shadows are the live start
-        ws[step], q_ws[step], codes[step], ema_ws[step] = w, qw, w_code, sh["w"]
-        s_ws[step], s_xs[step], losses[step] = q_w.s, q_x.s, loss
-        ema_s_ws[step], ema_s_xs[step] = sh["s_w"], sh["s_x"]
+        rows[step], codes[step], losses[step] = params, w_code, loss
+        ema_ws[step], ema_s_ws[step], ema_s_xs[step] = sh["w"], sh["s_w"], sh["s_x"]
 
         # Squared-norm gradients of the sampled objective.
-        g_w, g_sw = quantize_backward(w_round, q_w, -2.0 / x.size * (qx @ e))
-        _, g_sx = quantize_backward(x_round, q_x, -2.0 / x.size * (e @ qw))
+        grad["w"][...], grad["s_w"][...] = quantize_backward(w_round, q_w, g_scale * (qx.mT @ e))
+        grad["s_x"][...] = quantize_backward(x_round, q_x, g_scale * (e @ qw.mT))[1]
 
-        w -= p.lr * g_w
-        np.maximum(q_w.s - p.lr * g_sw, SCALE_FLOOR, out=q_w.s)
-        np.maximum(q_x.s - p.lr * g_sx, SCALE_FLOOR, out=q_x.s)
+        params -= p.lr * grads
+        np.maximum(scales, SCALE_FLOOR, out=scales)
         ema_update(ema, live)
 
+    ws, s_ws, s_xs = (rows[:, a:b] for a, b in layout.bounds)
+    ws, codes, ema_ws = (a.reshape(steps, n, dim) for a in (ws, codes, ema_ws))
+    q_ws = s_ws[:, :, None] * codes  # the s * code that round_to_grid formed
     codes = codes.astype(np.int64)
     changed = codes[1:] != codes[:-1]
-    flips = np.concatenate(([0], changed.sum(axis=1)))
-    tracker = OscillationTracker()
-    tracker.flip_counts, tracker._last = changed.sum(axis=0), codes[-1].copy()
-    tracker.recorded = p.steps
-    per_row = replace(q_w, s=ema_s_ws, granularity=PER_CHANNEL, axis=0)
-    trace = {"w": ws, "q_w": q_ws, "s_w": s_ws, "s_x": s_xs, "loss": losses, "codes": codes,
-             "flips": flips, "ema_w": ema_ws, "ema_s_w": ema_s_ws, "ema_s_x": ema_s_xs,
-             "ema_codes": integer_code(ema_ws, per_row)}
-    eval_x = rng.child("toy_eval").uniform((4096,), p.x_lo, p.x_hi)
-    trace["final_eval_loss"] = toy_objective(w, q_w, q_x, eval_x, p.w_star)
+    flips = np.zeros((steps, n), dtype=np.int64)
+    flips[1:] = changed.sum(axis=2)
+    flip_counts = changed.sum(axis=0)
+    per_row = replace(q_w, s=ema_s_ws.reshape(-1))
+    ema_codes = integer_code(ema_ws.reshape(-1, dim), per_row).reshape(steps, n, dim)
     sh = ema.shadows
-    trace["final_eval_loss_ema"] = toy_objective(
-        sh["w"], replace(q_w, s=sh["s_w"]), replace(q_x, s=sh["s_x"]), eval_x, p.w_star
-    )
-    return trace, tracker
+    results = []
+    for i, rng in enumerate(rngs):
+        tracker = OscillationTracker()
+        tracker.flip_counts, tracker._last = flip_counts[i], codes[-1, i].copy()
+        tracker.recorded = steps
+        trace = {"w": ws[:, i], "q_w": q_ws[:, i], "s_w": s_ws[:, i], "s_x": s_xs[:, i],
+                 "loss": losses[:, i], "codes": codes[:, i], "flips": flips[:, i],
+                 "ema_w": ema_ws[:, i], "ema_s_w": ema_s_ws[:, i], "ema_s_x": ema_s_xs[:, i],
+                 "ema_codes": ema_codes[:, i]}
+        eval_x = rng.child("toy_eval").uniform((4096,), p.x_lo, p.x_hi)
+        for key, at in (("final_eval_loss", live), ("final_eval_loss_ema", sh)):
+            trace[key] = toy_objective(
+                at["w"][i, 0],
+                QuantizerState(s=at["s_w"][i], bits=p.bits_w, signed=True),
+                QuantizerState(s=at["s_x"][i], bits=p.bits_x, signed=False),
+                eval_x,
+                p.w_star,
+            )
+        results.append((trace, tracker))
+    return results

@@ -17,6 +17,7 @@ downstream determinism guarantee depends on one fixed choice.
 
 from __future__ import annotations
 
+import functools
 import math
 from copy import deepcopy
 from dataclasses import dataclass, field
@@ -104,9 +105,10 @@ class QuantizerState:
                 f"scale has {self.s.shape[0]} channels but axis {self.axis} "
                 f"of shape {w.shape} has {w.shape[self.axis]}"
             )
-        shape = [1] * w.ndim
-        shape[self.axis] = self.s.shape[0]
-        return self.s.reshape(shape)
+        if self.s.shape[0] == 1:  # one channel broadcasts as a scalar, which is cheaper
+            return self.s.reshape(())
+        # Broadcasting supplies the leading axes.
+        return self.s.reshape((-1,) + (1,) * (w.ndim - 1 - self.axis % w.ndim))
 
     copy = deepcopy
 
@@ -165,6 +167,7 @@ def integer_code(w: np.ndarray, q: QuantizerState) -> np.ndarray:
     return round_to_grid(w, q)[1].astype(np.int64)
 
 
+@functools.cache
 def _reduce_axes(ndim: int, granularity: str, axis: int | None) -> tuple[int, ...] | None:
     """The axes a scale reduces over: all (None) per tensor, every axis but
     ``axis`` per channel."""
@@ -206,7 +209,7 @@ def quantize_backward(
     # Below the range code is u and above it v: the per-element d/ds.
     contrib = np.where(in_range, r - z, code)
     weighted = contrib * g_out
-    g_s = weighted.sum(axis=_reduce_axes(z.ndim, q.granularity, q.axis))
+    g_s = np.add.reduce(weighted, axis=_reduce_axes(z.ndim, q.granularity, q.axis))
     return g_w, np.asarray(g_s * _scale_grad_norm(q, z.size // q.s.size))
 
 

@@ -535,7 +535,8 @@ class TestErrors:
          "dataset.labels_path=0", "dataset.target=5", "dataset.eval_fraction=0",
          "runs=[1]", "runs=[0.5]", "runs=[null]", "runs=[true]", "runs=[[1]]",
          pytest.param(f"soft_round_k={10**400}", id="soft_round_k=10**400"),
-         pytest.param(f"toy.w_star=[{10**400}]", id="toy.w_star=[10**400]")],
+         pytest.param(f"toy.w_star=[{10**400}]", id="toy.w_star=[10**400]"),
+         pytest.param(f"toy.steps={10**400}", id="toy.steps=10**400")],
     )
     def test_bad_config_types(self, tmp_path, override):
         out = tmp_path / "out"
@@ -859,8 +860,10 @@ class TestSeedPool:
         assert parent not in {pid for _, pid in pids}
         assert cli.map_seeds(lambda seed: os.getpid(), [7]) == [parent]
 
-    def test_pool_writes_what_single_seed_calls_write(self, tmp_path, cpus):
-        cpus(3)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pool_writes_what_single_seed_calls_write(self, tmp_path, cpus, n):
+        """On 2 CPUs seeds 0 and 2 share one loop; on 3 each has its own."""
+        cpus(n)
         steps = ["--set", "toy.steps=300"]
         pooled = tmp_path / "pooled"
         assert main(["toy", "--out", str(pooled), "--set", "seeds=[0,1,2]"] + steps) == 0
@@ -876,20 +879,33 @@ class TestSeedPool:
                     del m[key]
             assert ma == mb
 
+    def test_toy_groups_deal_seeds_round_robin(self, cpus):
+        """One group per CPU up to one per seed, and none over the cap."""
+        cpus(2)
+        assert cli._toy_groups([5, 3, 4]) == [[5, 4], [3]]
+        cpus(4)
+        assert cli._toy_groups([5, 3]) == [[5], [3]]
+        cpus(1)
+        seeds = list(range(20))
+        groups = cli._toy_groups(seeds)
+        assert len(groups) == 3 and max(map(len, groups)) <= cli.TOY_SEEDS_PER_LOOP
+        assert sorted(s for g in groups for s in g) == seeds
+
     @pytest.mark.parametrize("n", [1, 4])
     def test_every_seed_runs_and_first_failure_decides(self, tmp_path, monkeypatch, capsys,
                                                        cpus, n):
         """Seeds 1 and 3 fail: every seed still gets its manifest, and seed
         1's error sets the exit code and the message, in process or pool."""
         cpus(n)
-        real = cli.run_toy
+        real = cli.run_toys
 
-        def failing(problem, rng):
-            if rng.seed in (1, 3):
-                raise RuntimeError(f"toy seed {rng.seed} diverged")
-            return real(problem, rng=rng)
+        def failing(problem, rngs):
+            for rng in rngs:
+                if rng.seed in (1, 3):
+                    raise RuntimeError(f"toy seed {rng.seed} diverged")
+            return real(problem, rngs)
 
-        monkeypatch.setattr(cli, "run_toy", failing)
+        monkeypatch.setattr(cli, "run_toys", failing)
         assert main(["toy", "--out", str(tmp_path), "--set", "seeds=[0,1,2,3]",
                      "--set", "toy.steps=50"]) == 3
         status = {s: read_manifest(tmp_path / f"toy-seed{s}")["status"] for s in range(4)}
@@ -905,12 +921,12 @@ class TestSeedPool:
             "import os, sys\n"
             "from qatlab import cli\n"
             "cli.usable_cpus = lambda: 2\n"
-            "real, parent = cli.run_toy, os.getpid()\n"
-            "def dying(problem, rng):\n"
-            "    if rng.seed == 1 and os.getpid() != parent:\n"
+            "real, parent = cli.run_toys, os.getpid()\n"
+            "def dying(problem, rngs):\n"
+            "    if any(rng.seed == 1 for rng in rngs) and os.getpid() != parent:\n"
             "        os._exit(7)\n"
-            "    return real(problem, rng=rng)\n"
-            "cli.run_toy = dying\n"
+            "    return real(problem, rngs)\n"
+            "cli.run_toys = dying\n"
             f"sys.exit(cli.main(['toy', '--out', {str(tmp_path)!r}, '--set', 'seeds=[0,1]',"
             " '--set', 'toy.steps=50']))\n"
         )
@@ -919,6 +935,28 @@ class TestSeedPool:
         assert proc.returncode == 3
         assert "a worker process died" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_dead_worker_fails_each_seed_of_its_group(self):
+        """Every seed of a group whose worker died gets its own message."""
+        script = (
+            "import os\n"
+            "from qatlab import cli\n"
+            "cli.usable_cpus = lambda: 2\n"
+            "def run(group):\n"
+            "    if 2 in group:\n"
+            "        os._exit(7)\n"
+            "    return [(seed, None) for seed in group]\n"
+            "for result, error in cli.map_groups(run, [[0, 2], [1]]):\n"
+            "    print(result, error)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        # Group [1] may finish before the pool breaks, or not.
+        assert lines[:2] == [f"None seed {seed} did not finish: a worker process died"
+                             for seed in (0, 2)]
+        assert len(lines) == 3
 
     def test_import_leaves_the_pool_modules_unloaded(self):
         """Loading the pool modules costs every process start-up time, so

@@ -12,6 +12,7 @@ from qatlab.oscillation import (
     flip_frequency,
     record_step,
     run_toy,
+    run_toys,
     toy_objective,
 )
 from qatlab.quantizer import (
@@ -96,6 +97,23 @@ def reference_run_toy(p, rng):
         ema.shadows["w"], sh_q_w, sh_q_x, eval_x, p.w_star
     )
     return trace, tracker
+
+
+def assert_same_run(got, want):
+    """Two ``(trace, tracker)`` results hold the same bits: every trace
+    key's values, dtype and shape, and the tracker's counts, last codes and
+    number of snapshots."""
+    (trace, tracker), (ref, ref_tracker) = got, want
+    assert trace.keys() == ref.keys()
+    for key in ref:
+        assert np.shape(trace[key]) == np.shape(ref[key]), key
+        assert np.asarray(trace[key]).dtype == np.asarray(ref[key]).dtype, key
+        assert np.array_equal(trace[key], ref[key]), key
+    assert tracker.recorded == ref_tracker.recorded
+    for got_arr, want_arr in ((tracker.flip_counts, ref_tracker.flip_counts),
+                              (tracker._last, ref_tracker._last)):
+        assert got_arr.dtype == want_arr.dtype and got_arr.shape == want_arr.shape
+        assert np.array_equal(got_arr, want_arr)
 
 
 def windowed_recount(stream, window):
@@ -261,18 +279,7 @@ class TestRunToy:
     )
     def test_bit_identical_to_reference_loop(self, seed, steps):
         p = ToyProblem(steps=steps)
-        trace, tracker = run_toy(p, rng=Rng(seed))
-        ref, ref_tracker = reference_run_toy(p, Rng(seed))
-        assert trace.keys() == ref.keys()
-        for key in ref:
-            assert np.shape(trace[key]) == np.shape(ref[key]), key
-            assert np.asarray(trace[key]).dtype == np.asarray(ref[key]).dtype, key
-            assert np.array_equal(trace[key], ref[key]), key
-        assert tracker.recorded == ref_tracker.recorded
-        for got, want in ((tracker.flip_counts, ref_tracker.flip_counts),
-                          (tracker._last, ref_tracker._last)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want)
+        assert_same_run(run_toy(p, rng=Rng(seed)), reference_run_toy(p, Rng(seed)))
 
     def test_counts_flips_without_record_step(self, monkeypatch):
         calls = []
@@ -289,7 +296,9 @@ class TestRunToy:
             rounding_calls.clear()
             run_toy(ToyProblem(steps=steps), rng=Rng(0))
             assert len(rounding_calls) == 7 + 2 * (steps - 1)
-            assert rounding_calls == [(16,), (3,)] * steps + [(steps, 3)] + [(4096,), (3,)] * 2
+            assert rounding_calls == (
+                [(1, 16, 1), (1, 1, 3)] * steps + [(steps, 3)] + [(4096,), (3,)] * 2
+            )
 
     def test_requires_rng(self):
         with pytest.raises(ValueError):
@@ -326,3 +335,49 @@ class TestRunToy:
             ToyProblem(x_lo=1.0, x_hi=0.0)
         with pytest.raises(ValueError):
             ToyProblem(w_star=np.zeros((2, 2)))
+
+
+class TestRunToys:
+    """Seeds stepped together in one loop get the bits each gets alone."""
+
+    @staticmethod
+    def check_each_seed(p, seeds):
+        results = run_toys(p, [Rng(seed) for seed in seeds])
+        assert len(results) == len(seeds)
+        for seed, result in zip(seeds, results):
+            assert_same_run(result, run_toy(p, rng=Rng(seed)))
+            assert_same_run(result, reference_run_toy(p, Rng(seed)))
+
+    @pytest.mark.parametrize("ema_alpha", [0.999, 0.0], ids=["ema", "no_ema"])
+    @pytest.mark.parametrize(
+        "seeds", [[3], [3, 17], [0, 1, 2], list(range(40, 48))], ids=["1", "2", "3", "8"]
+    )
+    def test_each_seed_matches_its_own_run(self, seeds, ema_alpha):
+        self.check_each_seed(ToyProblem(steps=300, ema_alpha=ema_alpha), seeds)
+
+    def test_each_seed_matches_its_own_run_at_default_steps(self):
+        self.check_each_seed(ToyProblem(), [5, 6, 7])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_rounding_per_quantizer_per_step_for_all_seeds(self, rounding_calls, n):
+        # The gain of stepping seeds together: a step rounds x and w once
+        # each, whatever the number of seeds.  After the loop, one rounding
+        # makes every seed's shadow codes, and each seed's final evals
+        # round x and w for the live and the shadow model.
+        for steps in (1, 2, 5):
+            rounding_calls.clear()
+            run_toys(ToyProblem(steps=steps), [Rng(seed) for seed in range(n)])
+            assert rounding_calls == (
+                [(n, 16, 1), (n, 1, 3)] * steps + [(n * steps, 3)] + [(4096,), (3,)] * 2 * n
+            )
+
+    def test_divergence_aborts_the_loop(self):
+        p = ToyProblem(w_star=np.array([-1e7, 0.0, 0.0]), steps=50)
+        with pytest.raises(RuntimeError, match="diverged at step 0"):
+            run_toys(p, [Rng(0), Rng(1)])
+
+    def test_requires_an_rng_per_seed(self):
+        with pytest.raises(ValueError):
+            run_toys(ToyProblem(steps=10), [])
+        with pytest.raises(ValueError):
+            run_toys(ToyProblem(steps=10), [Rng(0), None])
