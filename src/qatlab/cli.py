@@ -2,7 +2,6 @@
 run directories (metrics CSV, checkpoints, manifest)."""
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -68,15 +67,34 @@ def _fmt(v):
     return "" if v is None else str(v)
 
 
+def _quoted(text):
+    """``text`` as ``csv.QUOTE_MINIMAL`` writes it: in quotes, with its
+    quotes doubled, if it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _line(cells):
+    """One CSV row of text cells.  csv quotes a row's one empty cell, so
+    that the row is not blank."""
+    return (",".join(cells) if cells != [""] else '""') + "\r\n"
+
+
 def write_csv(path, header, rows):
+    """Write ``header`` (text) and ``rows`` (sequences, or dicts keyed by
+    the header) as ``csv.writer`` writes the header and the rows' ``_fmt``
+    cells.  A native float or int is its ``str``, which is what ``_fmt``
+    gives it and needs no quotes; every other cell goes through ``_fmt``
+    and ``_quoted``."""
+
     def write(fh):
-        w = csv.writer(fh)
-        w.writerow(header)
+        fh.write(_line([_quoted(str(col)) for col in header]))
         for row in rows:
             if isinstance(row, dict):
-                w.writerow([_fmt(row.get(col)) for col in header])
-            else:
-                w.writerow([_fmt(v) for v in row])
+                row = [row.get(col) for col in header]
+            fh.write(_line([str(v) if type(v) is float or type(v) is int else _quoted(_fmt(v))
+                            for v in row]))
 
     write_atomically(path, write)
 

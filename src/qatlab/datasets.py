@@ -239,7 +239,9 @@ def load_csv(
     calib_fraction: float = 0.1,
 ) -> Dataset:
     """Load a numeric CSV with a header row; the ``target`` column holds
-    the targets and every other column is a feature."""
+    the targets and every other column is a feature.  Every cell must be a
+    finite number; one that is not (``abc``, ``nan``, ``inf``, ``1e400``)
+    is rejected with its line."""
     with open(path, newline="") as fh:
         try:
             rows = list(csv.reader(fh))
@@ -254,21 +256,27 @@ def load_csv(
     if len(rows) < 2:
         raise ValueError(f"{path}: no data rows")
 
-    feats, targets = [], []
+    values = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ValueError(
                 f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
             )
         try:
-            values = [float(cell) for cell in row]
+            values.append([float(cell) for cell in row])
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        targets.append(values.pop(t_col))
-        feats.append(values)
+    values = np.asarray(values, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(
+            f"{path}: line {i + 2}: column {header[j]!r} is not a finite number: "
+            f"{rows[i + 1][j]!r}"
+        )
 
-    x = np.asarray(feats, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
+    x = np.delete(values, t_col, axis=1)
+    y = values[:, t_col].copy()
     if task == CLASSIFICATION:
         if not np.array_equal(y, np.round(y)) or (y < 0).any():
             raise ValueError(f"{path}: classification targets must be integers >= 0")

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qatlab import cli
@@ -107,6 +107,75 @@ class TestToy:
 )
 def test_fmt(value, text):
     assert cli._fmt(value) == text
+
+
+def reference_write_csv(path, header, rows):
+    """The CSV writer before native cells skipped ``_fmt``: ``csv.writer``
+    over ``_fmt`` cells."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            if isinstance(row, dict):
+                w.writerow([cli._fmt(row.get(col)) for col in header])
+            else:
+                w.writerow([cli._fmt(v) for v in row])
+
+
+_CSV_TEXT = st.text(alphabet=st.sampled_from(list('ab 1.-,"\r\n\t\x00é')), max_size=6)
+_CSV_CELLS = st.one_of(
+    st.floats(),  # nan, ±inf and subnormals included
+    st.sampled_from([-0.0, float("inf"), -float("inf"), float("nan"), 5e-324, 1e-310]),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from([2**63, -(2**63) - 1, 2**64]),
+    st.booleans(),
+    st.sampled_from([np.True_, np.False_]),
+    st.none(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _CSV_TEXT,
+)
+
+
+@st.composite
+def _csv_tables(draw):
+    header = draw(st.lists(_CSV_TEXT, min_size=1, max_size=4, unique=True))
+    row = st.one_of(
+        st.lists(_CSV_CELLS, min_size=len(header), max_size=len(header)),
+        st.dictionaries(st.sampled_from(header), _CSV_CELLS),  # missing keys are None
+    )
+    return header, draw(st.lists(row, max_size=5))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(table=_csv_tables())
+@example(table=(["a"], [[None], [""], {}, [-0.0]]))
+@example(table=([",", '"', "\r", "\n", ""], [[2**64, np.True_, np.float32(0.1), np.int64(-7), "x,y"]]))
+def test_write_csv_matches_csv_writer(tmp_path_factory, table):
+    """write_csv writes the bytes that csv.writer writes for the _fmt cells."""
+    d = tmp_path_factory.getbasetemp()
+    header, rows = table
+    reference_write_csv(d / "reference.csv", header, rows)
+    cli.write_csv(d / "fast.csv", header, rows)
+    assert (d / "fast.csv").read_bytes() == (d / "reference.csv").read_bytes()
+
+
+def test_toy_trace_cells_skip_fmt(tmp_path, monkeypatch):
+    """Every toy_trace.csv cell is a native float or int, written as its str
+    without a call to _fmt."""
+    calls = []
+    original = cli._fmt
+
+    def counting(v):
+        calls.append(type(v))
+        return original(v)
+
+    monkeypatch.setattr(cli, "_fmt", counting)
+    assert main(["toy", "--out", str(tmp_path), "--set", "seeds=[3]",
+                 "--set", "toy.steps=300"]) == 0
+    assert (tmp_path / "toy-seed3" / "toy_trace.csv").exists()
+    assert calls == []
 
 
 class TestTrain:
@@ -609,6 +678,22 @@ class TestErrors:
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400", "abc"])
+    def test_csv_dataset_with_a_bad_cell(self, tmp_path, capsys, recwarn, cell):
+        """A csv dataset cell that is no finite number exits 2, naming its
+        line, before any run directory is made or any step is taken."""
+        p = tmp_path / "d.csv"
+        lines = [f"{i % 7}.5,{i % 3}.0,{i % 2}.0" for i in range(200)]
+        lines[150] = f"{cell},1.0,0.0"
+        p.write_text("a,b,target\n" + "\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = ["train", "--out", str(out), "--set", "dataset.kind=csv",
+                "--set", f"dataset.path={p}"]
+        assert main(argv) == 2
+        assert "line 152" in capsys.readouterr().err
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_no_epochs_need_no_batch(self, tmp_path):
         out = tmp_path / "out"

@@ -243,6 +243,17 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 3"):
             load_csv(p, target="y")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("column", ["a", "y"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell, column):
+        """A feature or target that parses as a float but is not finite is
+        rejected like a cell that is no number, naming its line."""
+        p = tmp_path / "d.csv"
+        row = f"{cell},3.0" if column == "a" else f"1.0,{cell}"
+        p.write_text(f"a,y\n1.0,2.0\n{row}\n")
+        with pytest.raises(ValueError, match=f"line 3: column '{column}' is not a finite number"):
+            load_csv(p, target="y")
+
     def test_ragged_row_reports_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,y\n1.0,2.0,9.9\n")
