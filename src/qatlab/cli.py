@@ -57,16 +57,6 @@ METRIC_COLUMNS = (
 METHOD_ORDER = ("plain", "dampening", "ema", "qc", "ema_qc")
 
 
-def _fmt(v):
-    if isinstance(v, (float, np.floating)):  # first: most CSV cells are floats
-        return repr(float(v))
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "" if v is None else str(v)
-
-
 def _quoted(text):
     """``text`` as ``csv.QUOTE_MINIMAL`` writes it: in quotes, with its
     quotes doubled, if it holds a comma, a quote or a line break."""
@@ -82,19 +72,18 @@ def _line(cells):
 
 
 def write_csv(path, header, rows):
-    """Write ``header`` (text) and ``rows`` (sequences, or dicts keyed by
-    the header) as ``csv.writer`` writes the header and the rows' ``_fmt``
-    cells.  A native float or int is its ``str``, which is what ``_fmt``
-    gives it and needs no quotes; every other cell goes through ``_fmt``
-    and ``_quoted``."""
+    """Write ``header`` and ``rows`` (sequences, or dicts keyed by the
+    header, a missing key being None) as ``csv.writer`` writes them: a cell
+    is its ``str``, and None an empty cell.  A native float or int needs no
+    quotes; any other cell goes through ``_quoted``."""
 
     def write(fh):
         fh.write(_line([_quoted(str(col)) for col in header]))
         for row in rows:
             if isinstance(row, dict):
                 row = [row.get(col) for col in header]
-            fh.write(_line([str(v) if type(v) is float or type(v) is int else _quoted(_fmt(v))
-                            for v in row]))
+            fh.write(_line([str(v) if type(v) is float or type(v) is int
+                            else "" if v is None else _quoted(str(v)) for v in row]))
 
     write_atomically(path, write)
 
@@ -156,13 +145,6 @@ def method_name(cfg: ExperimentConfig) -> str:
     if cfg.ema["enabled"]:
         return "ema"
     return "plain"
-
-
-def _history_columns(history):
-    present = set()
-    for row in history:
-        present.update(row)
-    return [c for c in METRIC_COLUMNS if c in present]
 
 
 def usable_cpus() -> int:
@@ -263,7 +245,7 @@ def _run_seed(cfg, seed, work, before=0.0):
     try:
         artifacts, extra = work(seed, run_dir)
         write_manifest(run_dir, cfg, seed, time.perf_counter() - start, artifacts, **extra)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         wall = time.perf_counter() - start
         existing = [p.name for p in run_dir.iterdir() if p.name != "manifest.json"]
         write_manifest(run_dir, cfg, seed, wall, existing, status="failed", error=str(exc))
@@ -423,7 +405,7 @@ def task_train(cfg: ExperimentConfig):
 
     def work(seed, run_dir):
         qnet, ema, tracker, history = _qat_run(cfg, dataset, seed)
-        write_csv(run_dir / "metrics.csv", _history_columns(history), history)
+        write_csv(run_dir / "metrics.csv", METRIC_COLUMNS, history)
         save_checkpoint(
             run_dir / "checkpoint.qat",
             network_to_checkpoint(qnet, _snapshot(cfg, seed, cfg.dataset), ema),
@@ -699,7 +681,7 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError, MemoryError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

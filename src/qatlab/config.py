@@ -16,15 +16,14 @@ from .quantizer import SoftRoundConfig
 from .training import TrainConfig
 
 # The ema, qc and toy sections are the fields of the dataclass built from each
-# (plus qc.source); dataset is the parameters of its builders (less mode,
-# which kind sets, plus kind).
+# (plus qc.source); dataset is the parameters of its builders.
 _EMA = {f.name[4:]: f for f in dataclasses.fields(TrainConfig) if f.name.startswith("ema_")}
 _QC = {f.name: f for f in dataclasses.fields(QCConfig)}
 _BUILDER_PARAMS = [
     (k, p) for build in BUILDERS.values() for k, p in inspect.signature(build).parameters.items()
 ]
 _SECTION_TYPES = {
-    "dataset": {"kind": str, **{k: p.annotation for k, p in _BUILDER_PARAMS if k != "mode"}},
+    "dataset": {k: p.annotation for k, p in _BUILDER_PARAMS},
     "ema": {k: f.type for k, f in _EMA.items()},
     "qc": {**{k: f.type for k, f in _QC.items()}, "source": Literal["ema", "live"]},
     "toy": {f.name: f.type for f in dataclasses.fields(ToyProblem)},

@@ -137,7 +137,7 @@ def gen_classification(
     seed: int,
     n: int = 1000,
     classes: int = 3,
-    mode: str = "blobs",
+    kind: str = "blobs",
     dim: int = 2,
     noise: float = 1.0,
     separation: float = 6.0,
@@ -154,10 +154,10 @@ def gen_classification(
     counts[: n % classes] += 1  # balanced up to +-1
     labels = np.repeat(np.arange(classes), counts)
 
-    if mode == "blobs":
+    if kind == "blobs":
         centers = _blob_centers(classes, dim, separation, root.child("centers"))
         x = centers[labels] + noise * root.child("points").normal((n, dim))
-    elif mode == "spirals":
+    elif kind == "spirals":
         if dim != 2:
             raise ValueError("spirals are 2-d")
         t = root.child("radius").uniform((n,), 0.1, 1.0)
@@ -166,7 +166,7 @@ def gen_classification(
         x = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
         x = x + noise * root.child("points").normal((n, 2))
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError(f"unknown kind {kind!r}")
 
     order = root.child("shuffle").permutation(n)
     y = labels[order].astype(np.int64)
@@ -243,13 +243,15 @@ def load_csv(
     finite number; one that is not (``abc``, ``nan``, ``inf``, ``1e400``)
     is rejected with its line."""
     with open(path, newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            rows = list(csv.reader(fh))
+            # Each record with the physical line it ends on.
+            rows = [(reader.line_num, row) for row in reader]
         except csv.Error as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
-    header = rows[0]
+    header = rows[0][1]
     if target not in header:
         raise ValueError(f"{path}: no column named {target!r} in header")
     t_col = header.index(target)
@@ -257,7 +259,7 @@ def load_csv(
         raise ValueError(f"{path}: no data rows")
 
     values = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise ValueError(
                 f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
@@ -270,9 +272,9 @@ def load_csv(
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
+        lineno, row = rows[i + 1]
         raise ValueError(
-            f"{path}: line {i + 2}: column {header[j]!r} is not a finite number: "
-            f"{rows[i + 1][j]!r}"
+            f"{path}: line {lineno}: column {header[j]!r} is not a finite number: {row[j]!r}"
         )
 
     x = np.delete(values, t_col, axis=1)
@@ -286,7 +288,7 @@ def load_csv(
     return _split_dataset(x, y, task, seed, eval_fraction, calib_fraction)
 
 
-# dataset.kind -> builder; blobs and spirals are gen_classification's modes.
+# dataset.kind -> builder; blobs and spirals are gen_classification's kinds.
 # Plain functions, not partials: perfbench's tracer rebinds the functions it
 # finds in module dicts, and would not see the calls through a partial.
 BUILDERS = {
@@ -304,7 +306,7 @@ def build_dataset(spec: dict) -> Dataset:
     Every task uses training and eval rows, so neither split may be empty."""
     build = BUILDERS[spec["kind"]]
     params = inspect.signature(build).parameters
-    d = build(**{k: v for k, v in {**spec, "mode": spec["kind"]}.items() if k in params})
+    d = build(**{k: v for k, v in spec.items() if k in params})
     if not (d.train_idx.size and d.eval_idx.size):
         raise ValueError(
             f"{d.train_idx.size} training and {d.eval_idx.size} eval rows; need one of each"

@@ -96,30 +96,31 @@ class TestToy:
         (1e-300, "1e-300"),
         (float("inf"), "inf"),
         (np.float64(-0.0), "-0.0"),
-        (np.float32(0.1), "0.10000000149011612"),
-        (True, "true"),
-        (np.True_, "true"),
+        (2**64, "18446744073709551616"),
+        ("a,b", '"a,b"'),
+        ('say "x"', '"say ""x"""'),
         (3, "3"),
         (np.int64(7), "7"),
         (None, ""),
         ("x", "x"),
     ],
 )
-def test_fmt(value, text):
-    assert cli._fmt(value) == text
+def test_fmt(tmp_path, value, text):
+    """A cell is its str, None is empty, and text is quoted as csv quotes it."""
+    cli.write_csv(tmp_path / "t.csv", ["v", "n"], [[value, 1]])
+    assert (tmp_path / "t.csv").read_bytes() == f"v,n\r\n{text},1\r\n".encode()
 
 
 def reference_write_csv(path, header, rows):
-    """The CSV writer before native cells skipped ``_fmt``: ``csv.writer``
-    over ``_fmt`` cells."""
+    """The one cell rule written as ``csv.writer`` over text cells: a cell
+    is its ``str``, None an empty cell."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
             if isinstance(row, dict):
-                w.writerow([cli._fmt(row.get(col)) for col in header])
-            else:
-                w.writerow([cli._fmt(v) for v in row])
+                row = [row.get(col) for col in header]
+            w.writerow(["" if v is None else str(v) for v in row])
 
 
 _CSV_TEXT = st.text(alphabet=st.sampled_from(list('ab 1.-,"\r\n\t\x00é')), max_size=6)
@@ -128,11 +129,8 @@ _CSV_CELLS = st.one_of(
     st.sampled_from([-0.0, float("inf"), -float("inf"), float("nan"), 5e-324, 1e-310]),
     st.integers(-(2**200), 2**200),
     st.sampled_from([2**63, -(2**63) - 1, 2**64]),
-    st.booleans(),
-    st.sampled_from([np.True_, np.False_]),
     st.none(),
     st.floats().map(np.float64),
-    st.floats(width=32).map(np.float32),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     _CSV_TEXT,
 )
@@ -151,9 +149,9 @@ def _csv_tables(draw):
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)
 @given(table=_csv_tables())
 @example(table=(["a"], [[None], [""], {}, [-0.0]]))
-@example(table=([",", '"', "\r", "\n", ""], [[2**64, np.True_, np.float32(0.1), np.int64(-7), "x,y"]]))
+@example(table=([",", '"', "\r", "\n", ""], [[2**64, np.float64(-0.0), np.int64(-7), "x,y", None]]))
 def test_write_csv_matches_csv_writer(tmp_path_factory, table):
-    """write_csv writes the bytes that csv.writer writes for the _fmt cells."""
+    """write_csv writes the bytes that csv.writer writes for the cells' text."""
     d = tmp_path_factory.getbasetemp()
     header, rows = table
     reference_write_csv(d / "reference.csv", header, rows)
@@ -161,21 +159,62 @@ def test_write_csv_matches_csv_writer(tmp_path_factory, table):
     assert (d / "fast.csv").read_bytes() == (d / "reference.csv").read_bytes()
 
 
-def test_toy_trace_cells_skip_fmt(tmp_path, monkeypatch):
+def test_toy_trace_cells_skip_quoted(tmp_path, monkeypatch):
     """Every toy_trace.csv cell is a native float or int, written as its str
-    without a call to _fmt."""
+    without a call to _quoted; only the header's cells are quoted."""
     calls = []
-    original = cli._fmt
+    original = cli._quoted
 
-    def counting(v):
-        calls.append(type(v))
-        return original(v)
+    def counting(text):
+        calls.append(text)
+        return original(text)
 
-    monkeypatch.setattr(cli, "_fmt", counting)
+    monkeypatch.setattr(cli, "_quoted", counting)
     assert main(["toy", "--out", str(tmp_path), "--set", "seeds=[3]",
                  "--set", "toy.steps=300"]) == 0
-    assert (tmp_path / "toy-seed3" / "toy_trace.csv").exists()
-    assert calls == []
+    header, _ = read_csv(tmp_path / "toy-seed3" / "toy_trace.csv")
+    assert calls == header
+
+
+def test_every_task_writes_native_cells(tmp_path, monkeypatch):
+    """Every cell any task hands write_csv is a float, an int, text or None,
+    so the one cell rule covers them; a metrics.csv keeps its six columns
+    when a run records no accuracy, no EMA or no epoch."""
+    kinds = set()
+    original = cli.write_csv
+
+    def recording(path, header, rows):
+        for row in rows:
+            cells = [row.get(col) for col in header] if isinstance(row, dict) else row
+            kinds.update(type(v) for v in cells)
+        original(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_csv", recording)
+    small = ["--set", "dataset.n=200", "--set", "epochs=1", "--set", "pretrain_epochs=1"]
+    ckpt = f"checkpoint={tmp_path}/cls/train-seed0/checkpoint.qat"
+    calls = {
+        "toy": ["toy", "--set", "toy.steps=50"],
+        "cls": ["train", *small],
+        "reg": ["train", *small, "--set", "dataset.kind=regression",
+                "--set", "ema.enabled=false"],
+        "zero": ["train", *small, "--set", "epochs=0"],
+        "qc": ["qc", "--set", ckpt],
+        "fold": ["fold", "--set", f"checkpoint={tmp_path}/qc/qc-seed0/qc_checkpoint.qat"],
+        "eval": ["eval", "--set", ckpt],
+        "ablate_qc": ["ablate", "--set", ckpt],
+        "ablate_ema": ["ablate", *small, "--set", "ablate_kind=ema_decay"],
+    }
+    for out, argv in calls.items():
+        assert main([argv[0], "--out", str(tmp_path / out), *argv[1:]]) == 0, out
+    runs = sorted(str(p.parent) for p in tmp_path.glob("*/*/manifest.json"))
+    assert main(["report", "--out", str(tmp_path / "report"), *runs]) == 0
+    assert len(read_csv(tmp_path / "report" / "report" / "report.csv")[1]) > 0
+    assert kinds <= {float, int, str, type(None)}
+    for out in ("reg", "zero"):
+        header, rows = read_csv(tmp_path / out / "train-seed0" / "metrics.csv")
+        assert header == list(cli.METRIC_COLUMNS)
+        # Regression records no accuracy, EMA off no ema_ values, epochs=0 no row.
+        assert [row[3:] for row in rows] == ([["", "", ""]] if out == "reg" else [])
 
 
 class TestTrain:
@@ -998,6 +1037,21 @@ class TestSeedPool:
         assert read_manifest(tmp_path / "toy-seed1")["error"] == "toy seed 1 diverged"
         err = capsys.readouterr().err
         assert "toy seed 1 diverged" in err and "seed 3" not in err
+
+    @pytest.mark.parametrize("seeds, n", [("[0]", 1), ("[0,1,2]", 2)])
+    def test_allocation_failure_exits_3(self, tmp_path, capfd, cpus, seeds, n):
+        """Arrays that cannot be allocated fail every seed with exit 3 and a
+        failed manifest, in process or pool.  On 2 CPUs seeds 0 and 2 share
+        a loop, which fails, and then each reruns alone.  The 1.14 PiB
+        request is past the x86-64 user address space, so it fails at once."""
+        cpus(n)
+        assert main(["toy", "--out", str(tmp_path), "--set", f"seeds={seeds}",
+                     "--set", "toy.steps=10000000000000"]) == 3
+        for seed in json.loads(seeds):
+            m = read_manifest(tmp_path / f"toy-seed{seed}")
+            assert m["status"] == "failed" and "Unable to allocate" in m["error"]
+        err = capfd.readouterr().err
+        assert "run failed: Unable to allocate" in err and "Traceback" not in err
 
     def test_dead_worker_exits_3(self, tmp_path):
         """A worker that dies ends the run with exit 3 and a message, not a

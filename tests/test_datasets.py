@@ -119,18 +119,18 @@ class TestClassification:
 
     def test_spirals_radius_grows(self):
         d = gen_classification(
-            seed=2, n=900, classes=3, mode="spirals", noise=0.0, separation=4.0
+            seed=2, n=900, classes=3, kind="spirals", noise=0.0, separation=4.0
         )
         r = np.linalg.norm(d.inputs, axis=1)
         assert r.min() > 0.2 and r.max() < 4.5
 
     def test_spirals_need_2d(self):
         with pytest.raises(ValueError, match="2-d"):
-            gen_classification(seed=0, n=90, mode="spirals", dim=3)
+            gen_classification(seed=0, n=90, kind="spirals", dim=3)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            gen_classification(seed=0, n=90, mode="moons")
+        with pytest.raises(ValueError, match="kind"):
+            gen_classification(seed=0, n=90, kind="moons")
 
     def test_deterministic(self):
         a = gen_classification(seed=4, n=120, classes=4, dim=4)
@@ -252,6 +252,14 @@ class TestLoadCsv:
         row = f"{cell},3.0" if column == "a" else f"1.0,{cell}"
         p.write_text(f"a,y\n1.0,2.0\n{row}\n")
         with pytest.raises(ValueError, match=f"line 3: column '{column}' is not a finite number"):
+            load_csv(p, target="y")
+
+    def test_line_is_physical(self, tmp_path):
+        """A quoted line break makes a record span lines; a bad cell after
+        it is reported at its own line of the file."""
+        p = tmp_path / "d.csv"
+        p.write_text('a,y\n"1.0\n",2.0\n3.0,nan\n')
+        with pytest.raises(ValueError, match="line 4: column 'y'"):
             load_csv(p, target="y")
 
     def test_ragged_row_reports_line(self, tmp_path):

@@ -5,9 +5,11 @@
 Makes the benchmark's workload calls (``perfbench/workloads.py``) for
 cnn_trend, mlp_wide and toy at workload seeds 0-2 with each tree's
 ``qatlab.cli``, one subprocess per call, with PYTHONPATH=<tree>/src and
-OMP_NUM_THREADS=1.  Both trees write into the same output path, since the
-checkpoints record it.  Every file the calls leave is hashed with sha256;
-a manifest is hashed as its JSON less ``wall_time_s``, so its ``final``
+OMP_NUM_THREADS=1, then ``qatlab report`` over every run directory they
+left, so that ``report.csv``, which no workload writes, is compared too.
+Both trees write into the same output path, since the checkpoints and the
+report's manifest record it.  Every file the calls leave is hashed with
+sha256; a manifest is hashed as its JSON less ``wall_time_s``, so its ``final``
 (the flip statistics of ``train`` and ``toy`` among them) is compared too.
 Each file that differs or exists in one tree only is printed, and so is
 each call that fails; the exit status is 1 if there is any, else 0.
@@ -31,18 +33,24 @@ SEEDS = (0, 1, 2)
 
 
 def run_tree(tree: Path, out: Path) -> tuple:
-    """Make every workload call with ``tree``'s CLI under ``out``; returns
-    ({relative path: sha256} of the files left there, [failed calls])."""
+    """Make every workload call with ``tree``'s CLI under ``out``, then a
+    report over their run directories; returns ({relative path: sha256} of
+    the files left there, [failed calls])."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1"}
     failed = []
+
+    def call(label, argv):
+        proc = subprocess.run([sys.executable, "-m", "qatlab.cli", *argv],
+                              cwd=tree, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            failed.append(f"{label}: exit {proc.returncode} {proc.stderr.strip()[-300:]}")
+
     for name in WORKLOADS:
         for seed in SEEDS:
-            for call in workloads.WORKLOADS[name](seed, str(out / f"{name}-{seed}")):
-                proc = subprocess.run([sys.executable, "-m", "qatlab.cli", *call["argv"]],
-                                      cwd=tree, env=env, capture_output=True, text=True)
-                if proc.returncode != 0:
-                    failed.append(f"{name} seed {seed} {call['task']}: exit {proc.returncode}"
-                                  f" {proc.stderr.strip()[-300:]}")
+            for c in workloads.WORKLOADS[name](seed, str(out / f"{name}-{seed}")):
+                call(f"{name} seed {seed} {c['task']}", c["argv"])
+    runs = sorted(str(path.parent) for path in out.rglob("manifest.json"))
+    call("report", ["report", "--out", str(out / "report"), *runs])
     digests = {str(path.relative_to(out)): digest(path)
                for path in sorted(out.rglob("*")) if path.is_file()}
     return digests, failed
