@@ -131,7 +131,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: truncated header")
     try:
         header = json.loads(buf[pos : pos + head_len])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # recursion: nested too deep
         raise ValueError(f"{path}: corrupt header: {exc}") from None
     pos += head_len
     if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):

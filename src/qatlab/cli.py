@@ -235,20 +235,26 @@ def _forked_outcomes(fn, groups, workers):
 
 
 def _run_seed(cfg, seed, work, before=0.0):
-    """Run ``work(seed, run_dir)`` and give it an ``ok`` manifest; ``work``
-    returns the artifacts it wrote and the extra manifest fields.  If it
-    fails, write a flagged manifest over whatever partial artifacts it left
-    and re-raise.  ``before`` is time spent on the seed before this call,
-    which its ``wall_time_s`` includes."""
+    """Run ``work(seed, save)`` and give it an ``ok`` manifest; ``work``
+    returns the extra manifest fields.  ``save(writer, name, *args)`` calls
+    ``writer(run_dir / name, *args)`` and lists ``name`` in the manifest's
+    artifacts.  If ``work`` fails, write a flagged manifest listing the
+    files it saved and re-raise.  ``before`` is time spent on the seed
+    before this call, which its ``wall_time_s`` includes."""
     run_dir = run_dir_for(cfg, seed)
     start = time.perf_counter() - before
+    artifacts = []
+
+    def save(writer, name, *args):
+        writer(run_dir / name, *args)
+        artifacts.append(name)
+
     try:
-        artifacts, extra = work(seed, run_dir)
+        extra = work(seed, save)
         write_manifest(run_dir, cfg, seed, time.perf_counter() - start, artifacts, **extra)
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         wall = time.perf_counter() - start
-        existing = [p.name for p in run_dir.iterdir() if p.name != "manifest.json"]
-        write_manifest(run_dir, cfg, seed, wall, existing, status="failed", error=str(exc))
+        write_manifest(run_dir, cfg, seed, wall, artifacts, status="failed", error=str(exc))
         raise
 
 
@@ -352,7 +358,7 @@ def _toy_groups(seeds) -> list:
 def task_toy(cfg: ExperimentConfig):
     problem = cfg.toy_problem()
 
-    def write(run_dir, trace, tracker):
+    def write(save, trace, tracker):
         n = trace["w"].shape[1]
         header = (
             ["iter"]
@@ -363,14 +369,14 @@ def task_toy(cfg: ExperimentConfig):
         columns = [*trace["w"].T, *trace["q_w"].T, trace["s_w"], trace["s_x"], trace["loss"],
                    np.cumsum(trace["flips"])]
         rows = list(zip(range(len(trace["flips"])), *(c.tolist() for c in columns)))
-        write_csv(run_dir / "toy_trace.csv", header, rows)
+        save(write_csv, "toy_trace.csv", header, rows)
         final = {
             "final_loss": float(trace["loss"][-1]),
             "final_eval_loss": float(trace["final_eval_loss"]),
             "final_eval_loss_ema": float(trace["final_eval_loss_ema"]),
             **flip_stats(tracker),
         }
-        return ["toy_trace.csv"], {"final": final}
+        return {"final": final}
 
     def run_group(group):
         """One loop steps the group's seeds, then each seed writes its own
@@ -386,9 +392,9 @@ def task_toy(cfg: ExperimentConfig):
             pass
         loop_s = time.perf_counter() - start if results else 0.0
 
-        def work(seed, run_dir):
+        def work(seed, save):
             result = results.pop(seed, None) or run_toys(problem, [Rng(seed)])[0]
-            return write(run_dir, *result)
+            return write(save, *result)
 
         return [_outcome(lambda seed: _run_seed(cfg, seed, work, loop_s), seed) for seed in group]
 
@@ -403,17 +409,14 @@ def task_train(cfg: ExperimentConfig):
     dataset = build_dataset(cfg.dataset)
     check_batch_fits(len(dataset.train_x), cfg.batch, max(cfg.epochs, cfg.pretrain_epochs))
 
-    def work(seed, run_dir):
+    def work(seed, save):
         qnet, ema, tracker, history = _qat_run(cfg, dataset, seed)
-        write_csv(run_dir / "metrics.csv", METRIC_COLUMNS, history)
-        save_checkpoint(
-            run_dir / "checkpoint.qat",
-            network_to_checkpoint(qnet, _snapshot(cfg, seed, cfg.dataset), ema),
-        )
+        save(write_csv, "metrics.csv", METRIC_COLUMNS, history)
+        save(save_checkpoint, "checkpoint.qat",
+             network_to_checkpoint(qnet, _snapshot(cfg, seed, cfg.dataset), ema))
         final = dict(history[-1]) if history else {}
         final.update(flip_stats(tracker))
-        extra = {"method": method_name(cfg), "bits_w": cfg.bits_w, "final": final}
-        return ["metrics.csv", "checkpoint.qat"], extra
+        return {"method": method_name(cfg), "bits_w": cfg.bits_w, "final": final}
 
     _per_seed(cfg, work)
 
@@ -425,7 +428,7 @@ def task_qc(cfg: ExperimentConfig):
         net = _shadow_net(net, ema)
     qcfg = cfg.qc_config()
 
-    def work(seed, run_dir):
+    def work(seed, save):
         calib_before = evaluate(net, dataset.calib_x, dataset.calib_y)
         eval_before = evaluate(net, dataset.eval_x, dataset.eval_y)
         corrected, _params = fit_qc(net, dataset.calib_x, dataset.calib_y, qcfg, seed=seed)
@@ -436,17 +439,14 @@ def task_qc(cfg: ExperimentConfig):
             "calib_loss_after": calib_after["loss"],
             **_eval_before_after(eval_before, eval_after),
         }
-        write_csv(run_dir / "qc_metrics.csv", list(row), [row])
-        save_checkpoint(
-            run_dir / "qc_checkpoint.qat",
-            network_to_checkpoint(corrected, _snapshot(cfg, seed, dataset_spec)),
-        )
-        extra = {
+        save(write_csv, "qc_metrics.csv", list(row), [row])
+        save(save_checkpoint, "qc_checkpoint.qat",
+             network_to_checkpoint(corrected, _snapshot(cfg, seed, dataset_spec)))
+        return {
             "method": "ema_qc" if source == "ema" else "qc",
             "bits_w": ckpt.config.get("experiment", {}).get("bits_w", cfg.bits_w),
             "final": row,
         }
-        return ["qc_metrics.csv", "qc_checkpoint.qat"], extra
 
     _per_seed(cfg, work)
 
@@ -454,7 +454,7 @@ def task_qc(cfg: ExperimentConfig):
 def task_fold(cfg: ExperimentConfig):
     _, net, _, dataset_spec, dataset = _open_checkpoint(cfg)
 
-    def work(seed, run_dir):
+    def work(seed, save):
         frozen = net.frozen()
         merged = absorb_corrections(frozen)
         folded = fold_network(merged)
@@ -467,14 +467,12 @@ def task_fold(cfg: ExperimentConfig):
         before = evaluate(frozen, dataset.eval_x, dataset.eval_y)
         after = evaluate(folded, dataset.eval_x, dataset.eval_y)
         row = {"max_abs_output_diff": diff, **_eval_before_after(before, after)}
-        write_csv(run_dir / "fold_report.csv", list(row), [row])
+        save(write_csv, "fold_report.csv", list(row), [row])
         if diff > 1e-6:
             raise RuntimeError(f"folding changed the outputs by {diff!r} (> 1e-6)")
-        save_checkpoint(
-            run_dir / "folded_checkpoint.qat",
-            network_to_checkpoint(folded, _snapshot(cfg, seed, dataset_spec)),
-        )
-        return ["fold_report.csv", "folded_checkpoint.qat"], {"final": row}
+        save(save_checkpoint, "folded_checkpoint.qat",
+             network_to_checkpoint(folded, _snapshot(cfg, seed, dataset_spec)))
+        return {"final": row}
 
     _per_seed(cfg, work)
 
@@ -482,7 +480,7 @@ def task_fold(cfg: ExperimentConfig):
 def task_eval(cfg: ExperimentConfig):
     _, net, ema, _, dataset = _open_checkpoint(cfg)
 
-    def work(seed, run_dir):
+    def work(seed, save):
         target, mode = net, cfg.eval_mode
         if mode == "ema_quantized":
             target, mode = _shadow_net(net, ema), "quantized"
@@ -490,8 +488,8 @@ def task_eval(cfg: ExperimentConfig):
             target, dataset.eval_x, dataset.eval_y, mode=mode, k=cfg.soft_round_k
         )
         row = {"mode": cfg.eval_mode, **result}
-        write_csv(run_dir / "eval.csv", list(row), [row])
-        return ["eval.csv"], {"final": row}
+        save(write_csv, "eval.csv", list(row), [row])
+        return {"final": row}
 
     _per_seed(cfg, work)
 
@@ -502,7 +500,7 @@ def task_ablate(cfg: ExperimentConfig):
         if cfg.qc["source"] == "ema":
             net = _shadow_net(net, ema)
 
-        def work(seed, run_dir):
+        def work(seed, save):
             table = qc_ablation(
                 net, dataset, lr=cfg.qc["lr"], batch=cfg.qc["batch"], seed=seed
             )
@@ -520,8 +518,8 @@ def task_ablate(cfg: ExperimentConfig):
                     cell = dict(table[gran][variant])
                     cell.update({"granularity": gran, "variant": variant})
                     rows.append(cell)
-            write_csv(run_dir / "ablation.csv", header, rows)
-            return ["ablation.csv"], {"final": {"cells": len(rows)}}
+            save(write_csv, "ablation.csv", header, rows)
+            return {"final": {"cells": len(rows)}}
 
         _per_seed(cfg, work)
         return
@@ -531,7 +529,7 @@ def task_ablate(cfg: ExperimentConfig):
     dataset = build_dataset(cfg.dataset)
     check_batch_fits(len(dataset.train_x), cfg.batch, max(cfg.epochs, cfg.pretrain_epochs))
 
-    def work(seed, run_dir):
+    def work(seed, save):
         # EMA is passive, so one live run yields every decay's shadows.
         _, _, _, histories = _qat_run(cfg, dataset, seed, ema_alphas=cfg.ema_alphas)
         rows = []
@@ -541,8 +539,8 @@ def task_ablate(cfg: ExperimentConfig):
             del row["epoch"]
             rows.append(row)
         header = ["alpha"] + [c for c in METRIC_COLUMNS if c != "epoch"]
-        write_csv(run_dir / "ema_decay.csv", header, rows)
-        return ["ema_decay.csv"], {"final": {"alphas": list(cfg.ema_alphas)}}
+        save(write_csv, "ema_decay.csv", header, rows)
+        return {"final": {"alphas": list(cfg.ema_alphas)}}
 
     _per_seed(cfg, work)
 
@@ -583,7 +581,8 @@ def _report_arms(path: Path):
         if m.get("task") == "train" and method == "ema":
             arms = [("plain", ""), ("ema", "ema_")]
         return [(arm, bits, *_final_metric(final, prefix)) for arm, prefix in arms]
-    except (ValueError, OverflowError) as exc:  # bad JSON or UTF-8; an int past float range
+    # Bad JSON or UTF-8, JSON nested past the recursion limit, an int past float range.
+    except (ValueError, RecursionError, OverflowError) as exc:
         raise RuntimeError(f"unusable manifest: {path}: {exc}") from None
 
 
@@ -603,16 +602,12 @@ def task_report(cfg: ExperimentConfig):
     ):
         vals = np.asarray(groups[(method, bits, metric_name)])
         rows.append([method, bits, metric_name, len(vals), float(vals.mean()), float(vals.std())])
-    run_dir = run_dir_for(cfg, None)
-    write_csv(run_dir / "report.csv", header, rows)
-    write_manifest(
-        run_dir,
-        cfg,
-        None,
-        time.perf_counter() - start,
-        ["report.csv"],
-        final={"rows": len(rows)},
-    )
+
+    def work(seed, save):
+        save(write_csv, "report.csv", header, rows)
+        return {"final": {"rows": len(rows)}}
+
+    _run_seed(cfg, None, work, time.perf_counter() - start)
 
 
 TASK_RUNNERS = {
@@ -652,22 +647,15 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        ns, extra = parser.parse_known_args(argv)
+        ns = parser.parse_args(argv)
     except SystemExit:
         return EXIT_CONFIG
     if ns.task is None:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
 
-    overrides = list(ns.set)
-    for arg in extra:
-        if arg.startswith("--") and "=" in arg:
-            overrides.append(arg[2:])
-        else:
-            print(f"config error: unrecognized argument {arg!r}", file=sys.stderr)
-            return EXIT_CONFIG
     try:
-        cfg = resolve_config(ns.config, overrides, forced_task=ns.task)
+        cfg = resolve_config(ns.config, ns.set, forced_task=ns.task)
         if ns.out:
             cfg.out_dir = ns.out
         if ns.task == "report" and getattr(ns, "runs", None):

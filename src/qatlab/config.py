@@ -1,5 +1,5 @@
-"""Experiment configuration: JSON file + --key=value overrides, strictly
-validated before any computation runs."""
+"""Experiment configuration: JSON file + ``--set KEY=VALUE`` overrides,
+strictly validated before any computation runs."""
 
 import dataclasses
 import hashlib
@@ -201,7 +201,7 @@ def load_config(path) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # recursion: nested too deep
         raise ValueError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config {path} must hold a JSON object")
@@ -210,7 +210,8 @@ def load_config(path) -> dict:
 
 def parse_override(text: str):
     """Split one ``key=value`` override; the value parses as JSON when it
-    can, and stays a string otherwise."""
+    can, and stays a string otherwise.  JSON nested past the recursion
+    limit is a ValueError."""
     if "=" not in text:
         raise ValueError(f"override {text!r} is not of the form key=value")
     key, raw = text.split("=", 1)
@@ -221,6 +222,8 @@ def parse_override(text: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError as exc:
+        raise ValueError(f"override {key!r} is not valid JSON: {exc}") from None
     return key, value
 
 

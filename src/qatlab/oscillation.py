@@ -4,8 +4,7 @@ A three-coordinate regression problem whose weights and step sizes are
 trained through the quantizer with straight-through gradients.  Latent
 weights that sit near a rounding threshold keep crossing it, so their
 integer codes flip step after step; the tracker counts those flips over
-the snapshots it is given and the boundary histogram shows where latents
-cluster relative to the thresholds.
+the snapshots it is given.
 """
 
 from dataclasses import dataclass, field as dc_field, replace
@@ -126,22 +125,6 @@ def flip_stats(t: OscillationTracker) -> dict:
         "mean_flip_frequency": float(freq.mean()),
         "oscillating_fraction": float((freq > 0.05).mean()),
     }
-
-
-def boundary_histogram(w, q: QuantizerState, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bin in-range latents by distance-to-threshold d = |frac(w/s) - 0.5|;
-    returns ``np.histogram``'s ``(counts, edges)`` over [0, 0.5].
-
-    d = 0 means the latent sits exactly on a rounding threshold, d = 0.5
-    exactly on a quantization level.  Non-finite input is rejected, as by
-    the quantizer.
-    """
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
-    rounding = round_to_grid(w, q)[2]
-    z = rounding.z[rounding.in_range]
-    d = np.abs((z - np.floor(z)) - 0.5)
-    return np.histogram(d, bins=bins, range=(0.0, 0.5))
 
 
 def toy_objective(w, s_w: QuantizerState, s_x: QuantizerState, x_batch, w_star):

@@ -503,6 +503,16 @@ class TestAblate:
         assert rows[0][1] != plain[0][1]
 
 
+def test_failed_manifest_lists_only_what_its_seed_wrote(tmp_path):
+    """A failed seed's artifacts are the files it wrote before it failed,
+    not the files an earlier run left in its directory."""
+    assert main(["toy", "--out", str(tmp_path), "--set", "toy.steps=50"]) == 0
+    assert main(["toy", "--out", str(tmp_path), "--set", "toy.steps=10000000000000"]) == 3
+    m = read_manifest(tmp_path / "toy-seed0")
+    assert m["status"] == "failed" and m["artifacts"] == []
+    assert (tmp_path / "toy-seed0" / "toy_trace.csv").exists()
+
+
 def test_manifest_lists_the_files_each_task_wrote(train_run, qc_run, tmp_path):
     """Every task's ok manifest names exactly the files in its run directory."""
     train_ckpt = str(train_run / "train-seed0" / "checkpoint.qat")
@@ -589,6 +599,44 @@ class TestReport:
         assert not (tmp_path / "out").exists()
 
 
+class TestNestedJson:
+    """JSON nested past the recursion limit is a bad input like any other:
+    exit 2 for a config file or --set value, exit 3 for a checkpoint header
+    or report manifest, each with its usual message and no run directory."""
+
+    NESTED = "[" * 100_000 + "]" * 100_000
+
+    def check(self, argv, out, code, message, capsys):
+        assert main(argv + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(self.NESTED)
+        self.check(["toy", "--config", str(cfg)], tmp_path / "out", 2,
+                   f"config error: config {cfg} is not valid JSON", capsys)
+
+    def test_override(self, tmp_path, capsys):
+        self.check(["toy", "--set", f"toy={self.NESTED}"], tmp_path / "out", 2,
+                   "config error: override 'toy' is not valid JSON", capsys)
+
+    def test_checkpoint_header(self, tmp_path, capsys):
+        head = self.NESTED.encode()
+        bad = tmp_path / "bad.qat"
+        bad.write_bytes(b"QATLAB01" + struct.pack("<Q", len(head)) + head)
+        self.check(["eval", "--set", f"checkpoint={bad}"], tmp_path / "out", 3,
+                   f"run failed: unusable checkpoint: {bad}: corrupt header", capsys)
+
+    def test_report_manifest(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "manifest.json").write_text(self.NESTED)
+        self.check(["report", str(run)], tmp_path / "out", 3,
+                   f"run failed: unusable manifest: {run / 'manifest.json'}:", capsys)
+
+
 class TestErrors:
     def test_unknown_config_key(self, tmp_path):
         assert main(["train", "--out", str(tmp_path), "--set", "lernrate=0.1"]) == 2
@@ -607,10 +655,11 @@ class TestErrors:
         assert len(rows) == 60
 
     def test_bare_long_override(self, tmp_path):
-        """--key=value without --set also lands in the config."""
-        assert main(["toy", "--out", str(tmp_path), "--toy.steps=40"]) == 0
-        _, rows = read_csv(tmp_path / "toy-seed0" / "toy_trace.csv")
-        assert len(rows) == 40
+        """--set KEY=VALUE is the only override; --key=value is a stray
+        argument."""
+        out = tmp_path / "out"
+        assert main(["toy", "--out", str(out), "--toy.steps=40"]) == 2
+        assert not out.exists()
 
     def test_stray_argument(self):
         assert main(["train", "oops"]) == 2

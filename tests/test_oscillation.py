@@ -8,7 +8,6 @@ from qatlab.oscillation import (
     DIVERGENCE_LIMIT,
     OscillationTracker,
     ToyProblem,
-    boundary_histogram,
     flip_frequency,
     record_step,
     run_toy,
@@ -204,48 +203,6 @@ class TestTracker:
         record_step(t, np.array([0]))
         with pytest.raises(RuntimeError):
             flip_frequency(t)
-
-
-class TestBoundaryHistogram:
-    def test_on_levels_mass_at_half(self):
-        q = qw(0.5, bits=4)
-        w = 0.5 * np.arange(-8, 8).astype(np.float64)
-        counts, _ = boundary_histogram(w, q, bins=10)
-        assert counts[-1] == 16
-        assert counts[:-1].sum() == 0
-
-    def test_on_thresholds_mass_at_zero(self):
-        q = qw(0.5, bits=4)
-        w = 0.5 * (np.arange(-7, 7) + 0.5)
-        counts, _ = boundary_histogram(w, q, bins=10)
-        assert counts[0] == 14
-        assert counts[1:].sum() == 0
-
-    def test_counts_conserved_with_clipping(self):
-        q = qw(0.1, bits=4)
-        w = np.array([0.26, -0.79, 5.0, 0.0, 0.31])  # 5.0 clips above
-        counts, _ = boundary_histogram(w, q, bins=5)
-        assert counts.sum() == 4
-
-    def test_uniform_cell_is_flat(self):
-        rng = Rng(7)
-        q = qw(1.0, bits=8)
-        w = rng.uniform((200_000,), 3.0, 4.0)
-        counts, _ = boundary_histogram(w, q, bins=10)
-        expect = 20_000
-        assert np.abs(counts - expect).max() < 5 * np.sqrt(expect)
-
-    def test_bins_validation(self):
-        with pytest.raises(ValueError):
-            boundary_histogram(np.zeros(3), qw(1.0), bins=1)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            boundary_histogram(np.array([0.1, np.nan, np.inf, 0.3]), qw(0.1, bits=4), 4)
-
-    def test_rounds_once_through_the_quantizer(self, rounding_calls):
-        boundary_histogram(np.zeros((3, 2)), qw(0.1, bits=4), bins=4)
-        assert rounding_calls == [(3, 2)]
 
 
 class TestRunToy:
