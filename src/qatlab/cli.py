@@ -26,13 +26,13 @@ from .config import (
     config_to_dict,
     resolve_config,
 )
-from .datasets import Dataset, build_dataset
+from .datasets import Dataset, batches, build_dataset
 from .ema import materialize_ema
 from .network import build_cnn, build_mlp, forward
 from .numeric import Rng
 from .oscillation import flip_stats, run_toys
 from .qc import ABLATION_VARIANTS, absorb_corrections, fit_qc, fold_network, qc_ablation
-from .training import attach_quantizers, check_batch_fits, evaluate, shape_inputs
+from .training import EVAL_BATCH, attach_quantizers, check_batch_fits, evaluate, shape_inputs
 from .training import train_latent, train_qat
 
 EXIT_OK = 0
@@ -407,7 +407,8 @@ def task_toy(cfg: ExperimentConfig):
 
 def task_train(cfg: ExperimentConfig):
     dataset = build_dataset(cfg.dataset)
-    check_batch_fits(len(dataset.train_x), cfg.batch, max(cfg.epochs, cfg.pretrain_epochs))
+    check_batch_fits(len(dataset.train_idx), cfg.batch,
+                     max(cfg.epochs, cfg.pretrain_epochs))
 
     def work(seed, save):
         qnet, ema, tracker, history = _qat_run(cfg, dataset, seed)
@@ -458,12 +459,12 @@ def task_fold(cfg: ExperimentConfig):
         frozen = net.frozen()
         merged = absorb_corrections(frozen)
         folded = fold_network(merged)
+        # In evaluate's batches, so no forward holds a whole split's activations.
         x = shape_inputs(dataset.eval_x, net.input_shape)
-        diff = float(
-            np.abs(
-                forward(folded, x, "quantized") - forward(frozen, x, "quantized")
-            ).max()
-        )
+        diff = float(np.max([
+            np.abs(forward(folded, x[i], "quantized") - forward(frozen, x[i], "quantized")).max()
+            for i in batches(len(x), EVAL_BATCH, drop_last=False)
+        ]))
         before = evaluate(frozen, dataset.eval_x, dataset.eval_y)
         after = evaluate(folded, dataset.eval_x, dataset.eval_y)
         row = {"max_abs_output_diff": diff, **_eval_before_after(before, after)}
@@ -527,7 +528,8 @@ def task_ablate(cfg: ExperimentConfig):
     if cfg.epochs < 1:
         raise ValueError("the ema_decay ablation needs epochs >= 1")
     dataset = build_dataset(cfg.dataset)
-    check_batch_fits(len(dataset.train_x), cfg.batch, max(cfg.epochs, cfg.pretrain_epochs))
+    check_batch_fits(len(dataset.train_idx), cfg.batch,
+                     max(cfg.epochs, cfg.pretrain_epochs))
 
     def work(seed, save):
         # EMA is passive, so one live run yields every decay's shadows.

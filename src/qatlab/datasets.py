@@ -17,6 +17,9 @@ CLASSIFICATION = "classification"
 
 _IDX_UBYTE = 0x08
 
+# Rows of blob points drawn at a time: 1.6 MB at 784 features.
+BLOB_BLOCK_ROWS = 256
+
 
 @dataclass
 class Dataset:
@@ -24,7 +27,9 @@ class Dataset:
 
     Splits are index arrays into ``inputs`` / ``targets``.  The calibration
     subset must come from the training split; eval rows never appear in
-    training.
+    training.  Each access to a ``*_x`` or ``*_y`` property copies its
+    split's rows, so training gathers each batch's rows from ``inputs``
+    through ``train_idx`` instead.
     """
 
     inputs: np.ndarray
@@ -154,9 +159,22 @@ def gen_classification(
     counts[: n % classes] += 1  # balanced up to +-1
     labels = np.repeat(np.arange(classes), counts)
 
+    order = root.child("shuffle").permutation(n)  # drawn row order[j] becomes row j
     if kind == "blobs":
         centers = _blob_centers(classes, dim, separation, root.child("centers"))
-        x = centers[labels] + noise * root.child("points").normal((n, dim))
+        points = root.child("points")
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        # Philox gives the same normals in blocks as in one draw, so each
+        # block of drawn rows goes straight to its shuffled rows, and no
+        # other (n, dim) array than x is ever made.
+        x = np.empty((n, dim))
+        for start in range(0, n, BLOB_BLOCK_ROWS):
+            rows = slice(start, min(start + BLOB_BLOCK_ROWS, n))
+            block = points.normal((rows.stop - start, dim))
+            block *= noise
+            block += centers[labels[rows]]
+            x[pos[rows]] = block
     elif kind == "spirals":
         if dim != 2:
             raise ValueError("spirals are 2-d")
@@ -164,13 +182,12 @@ def gen_classification(
         theta = 2.0 * np.pi * (1.5 * t + labels / classes)
         r = separation * t
         x = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-        x = x + noise * root.child("points").normal((n, 2))
+        x = (x + noise * root.child("points").normal((n, 2)))[order]
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    order = root.child("shuffle").permutation(n)
     y = labels[order].astype(np.int64)
-    return _split_dataset(x[order], y, CLASSIFICATION, seed, eval_fraction, calib_fraction)
+    return _split_dataset(x, y, CLASSIFICATION, seed, eval_fraction, calib_fraction)
 
 
 def _read_exact(buf, offset, count, path):
@@ -184,7 +201,7 @@ def _read_exact(buf, offset, count, path):
 
 def _parse_idx(path):
     with open(path, "rb") as fh:
-        buf = fh.read()
+        buf = memoryview(fh.read())  # slices are views, not copies of the payload
     head, off = _read_exact(buf, 0, 4, path)
     zeros, dtype, ndim = head[:2], head[2], head[3]
     if zeros != b"\x00\x00":
@@ -217,7 +234,8 @@ def load_idx(
     if images.ndim != 3:
         raise ValueError(f"{path}: expected a rank-3 image file")
     n = images.shape[0]
-    x = images.reshape(n, -1).astype(np.float64) / 255.0
+    x = images.reshape(n, -1).astype(np.float64)
+    x /= 255.0
     if labels_path is not None:
         labels = _parse_idx(labels_path)
         if labels.ndim != 1:

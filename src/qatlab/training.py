@@ -14,6 +14,7 @@ from .oscillation import DIVERGENCE_LIMIT, OscillationTracker, record_step
 from .quantizer import SCALE_FLOOR, init_scale, integer_code
 
 FLIP_WINDOW = 2000  # the QAT steps over which train_qat's tracker counts flips
+EVAL_BATCH = 256  # rows per forward pass when evaluating
 
 
 @dataclass
@@ -147,7 +148,7 @@ def attach_quantizers(
     return net
 
 
-def evaluate(net, x, y, mode: str = "quantized", batch: int = 256, k: float = 0.45) -> dict:
+def evaluate(net, x, y, mode: str = "quantized", batch: int = EVAL_BATCH, k: float = 0.45) -> dict:
     """Average loss (and accuracy for classifiers) over ``x`` with
     batch-norm in eval mode.  Short final batches are kept."""
     net = net.frozen()
@@ -229,17 +230,22 @@ def adam_batch(net, opt: AdamState, params: dict, x, y, mode: str, what: str,
     return loss
 
 
+def _rows(net, dataset, rows):
+    """(inputs, targets) of ``dataset``'s ``rows``, the inputs shaped for
+    ``net``: a copy of those rows only."""
+    return shape_inputs(dataset.inputs[rows], net.input_shape), dataset.targets[rows]
+
+
 def train_latent(net, dataset, epochs: int, batch: int = 32, lr: float = 1e-3, seed: int = 0):
     """Plain full-precision pretraining, in place.  Returns the net."""
     rng = Rng(seed).child("pretrain")
     opt = AdamState(lr=lr)
     params = net.parameters()
-    x_all = shape_inputs(dataset.train_x, net.input_shape)
-    y_all = dataset.train_y
-    check_batch_fits(len(x_all), batch, epochs)
+    train = dataset.train_idx
+    check_batch_fits(len(train), batch, epochs)
     for _ in range(epochs):
-        for idx in batches(len(x_all), batch, drop_last=True, rng=rng):
-            adam_batch(net, opt, params, x_all[idx], y_all[idx], "latent", "pretraining")
+        for idx in batches(len(train), batch, drop_last=True, rng=rng):
+            adam_batch(net, opt, params, *_rows(net, dataset, train[idx]), "latent", "pretraining")
     return net
 
 
@@ -266,10 +272,9 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
     qlayers = [i for i, l in enumerate(net.layers) if l.w_quant is not None]
     tracker = OscillationTracker()
 
-    x_all = shape_inputs(dataset.train_x, net.input_shape)
-    y_all = dataset.train_y
-    check_batch_fits(len(x_all), cfg.batch, cfg.epochs)
-    iters_per_epoch = len(x_all) // cfg.batch
+    train = dataset.train_idx
+    check_batch_fits(len(train), cfg.batch, cfg.epochs)
+    iters_per_epoch = len(train) // cfg.batch
     total_iters = cfg.epochs * iters_per_epoch
     if ema_alphas is None:
         alphas = [cfg.ema_alpha] if cfg.ema_enabled else []
@@ -282,9 +287,10 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
     shadow_histories = {alpha: [] for alpha in emas}
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
-        for idx in batches(len(x_all), cfg.batch, drop_last=True, rng=rng):
-            epoch_loss += adam_batch(net, opt, params, x_all[idx], y_all[idx], "quantized",
-                                     f"training at epoch {epoch}", cfg.dampening_lambda)
+        for idx in batches(len(train), cfg.batch, drop_last=True, rng=rng):
+            epoch_loss += adam_batch(net, opt, params, *_rows(net, dataset, train[idx]),
+                                     "quantized", f"training at epoch {epoch}",
+                                     cfg.dampening_lambda)
             for ema in emas.values():
                 ema_update(ema, params)
             if qlayers and opt.step > total_iters - FLIP_WINDOW:  # opt.step counts this step

@@ -1,17 +1,49 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qatlab.datasets import (
+    BLOB_BLOCK_ROWS,
     Dataset,
+    _blob_centers,
+    _parse_idx,
     batches,
+    build_dataset,
     gen_classification,
     gen_regression,
     load_csv,
     load_idx,
     make_calibration,
 )
+from qatlab.numeric import Rng
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn's result, the peak bytes tracemalloc saw above the start while
+    fn ran)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def one_shot_blobs(seed, n, classes, dim, noise, separation=6.0):
+    """The blob rows and labels drawn in one call and then shuffled: the
+    reference for gen_classification's blocked draw."""
+    root = Rng(seed)
+    counts = np.full(classes, n // classes)
+    counts[: n % classes] += 1
+    labels = np.repeat(np.arange(classes), counts)
+    centers = _blob_centers(classes, dim, separation, root.child("centers"))
+    x = centers[labels] + noise * root.child("points").normal((n, dim))
+    order = root.child("shuffle").permutation(n)
+    return x[order], labels[order]
 
 
 class TestDatasetInvariants:
@@ -132,6 +164,25 @@ class TestClassification:
         with pytest.raises(ValueError, match="kind"):
             gen_classification(seed=0, n=90, kind="moons")
 
+    @pytest.mark.parametrize("seed, n, dim, classes, noise", [
+        (0, 3, 4, 3, 1.0),  # the fewest rows
+        (1, 100, 16, 3, 1.8),  # less than one block
+        (2, BLOB_BLOCK_ROWS, 2, 5, 0.5),  # exactly one block, centers on a circle
+        (3, 2 * BLOB_BLOCK_ROWS + 37, 64, 10, 1.0),  # a short last block
+        (4, 4 * BLOB_BLOCK_ROWS, 3, 2, 0.0),  # whole blocks, no noise
+    ])
+    def test_blocked_blobs_equal_one_shot_draw(self, seed, n, dim, classes, noise):
+        d = gen_classification(seed=seed, n=n, dim=dim, classes=classes, noise=noise)
+        x, y = one_shot_blobs(seed, n, classes, dim, noise)
+        assert d.inputs.tobytes() == x.tobytes()
+        np.testing.assert_array_equal(d.targets, y)
+
+    def test_blobs_hold_their_inputs_once(self):
+        # At dim 64 the centers' QR is negligible; the one-shot draw peaks at
+        # over twice the inputs.
+        d, peak = traced_peak(build_dataset, {"kind": "blobs", "seed": 0, "n": 20000, "dim": 64})
+        assert peak <= 1.5 * d.inputs.nbytes
+
     def test_deterministic(self):
         a = gen_classification(seed=4, n=120, classes=4, dim=4)
         b = gen_classification(seed=4, n=120, classes=4, dim=4)
@@ -196,6 +247,14 @@ class TestLoadIdx:
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(ValueError, match="truncated"):
             load_idx(p)
+
+    def test_payload_is_not_copied(self, tmp_path):
+        # The parsed pixels are a view of the file's bytes, not a copy.
+        imgs = [np.full((28, 28), i % 256, dtype=np.uint8) for i in range(500)]
+        p = tmp_path / "x.idx"
+        write_idx_images(p, imgs)
+        pixels, peak = traced_peak(_parse_idx, p)
+        assert peak <= 1.5 * pixels.nbytes
 
     def test_label_count_mismatch(self, tmp_path):
         write_idx_images(tmp_path / "x.idx", [np.zeros((2, 2), dtype=np.uint8)] * 3)

@@ -13,7 +13,7 @@ from kernel_reference import (
     reference_round_to_grid,
 )
 from qatlab import network, quantizer, training
-from qatlab.datasets import gen_classification, gen_regression
+from qatlab.datasets import build_dataset, gen_classification, gen_regression
 from qatlab.ema import materialize_ema
 from qatlab.network import build_mlp, forward
 from qatlab.numeric import Rng
@@ -29,6 +29,7 @@ from qatlab.training import (
     train_latent,
     train_qat,
 )
+from test_datasets import traced_peak
 from test_oscillation import windowed_recount
 
 
@@ -420,6 +421,12 @@ class TestTrainLatent:
         train_latent(net, d, epochs=20, batch=32, lr=1e-2, seed=0)
         after = evaluate(net, d.eval_x, d.eval_y, mode="latent")["loss"]
         assert after < before * 0.5
+
+    def test_epoch_copies_only_its_batches(self):
+        d = build_dataset({"kind": "blobs", "seed": 0, "n": 20000, "dim": 64})
+        net = build_mlp(64, 3, rng=Rng(0), loss="softmax_ce")
+        _, peak = traced_peak(train_latent, net, d, epochs=1)
+        assert peak <= 0.25 * d.inputs.nbytes
 
     def test_divergence_guard(self, monkeypatch):
         d = gen_classification(seed=0, n=200, classes=3, dim=2)

@@ -13,6 +13,11 @@ sha256; a manifest is hashed as its JSON less ``wall_time_s``, so its ``final``
 (the flip statistics of ``train`` and ``toy`` among them) is compared too.
 Each file that differs or exists in one tree only is printed, and so is
 each call that fails; the exit status is 1 if there is any, else 0.
+
+Each call's peak RSS in both trees is printed too, with the largest change.
+It is the ``ru_maxrss`` (KiB on Linux) that ``os.wait4`` reports for the
+call's process, which covers the worker processes it waited for, such as
+``toy``'s forked seeds.  It does not affect the exit status.
 """
 
 import hashlib
@@ -35,15 +40,22 @@ SEEDS = (0, 1, 2)
 def run_tree(tree: Path, out: Path) -> tuple:
     """Make every workload call with ``tree``'s CLI under ``out``, then a
     report over their run directories; returns ({relative path: sha256} of
-    the files left there, [failed calls])."""
+    the files left there, [failed calls], {call: peak RSS in MiB})."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1"}
     failed = []
+    peaks = {}
 
     def call(label, argv):
-        proc = subprocess.run([sys.executable, "-m", "qatlab.cli", *argv],
-                              cwd=tree, env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            failed.append(f"{label}: exit {proc.returncode} {proc.stderr.strip()[-300:]}")
+        with tempfile.TemporaryFile() as err:
+            proc = subprocess.Popen([sys.executable, "-m", "qatlab.cli", *argv], cwd=tree,
+                                    env=env, stdout=subprocess.DEVNULL, stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            peaks[label] = usage.ru_maxrss / 1024.0
+            if proc.returncode != 0:
+                err.seek(0)
+                stderr = err.read().decode(errors="replace")
+                failed.append(f"{label}: exit {proc.returncode} {stderr.strip()[-300:]}")
 
     for name in WORKLOADS:
         for seed in SEEDS:
@@ -53,7 +65,7 @@ def run_tree(tree: Path, out: Path) -> tuple:
     call("report", ["report", "--out", str(out / "report"), *runs])
     digests = {str(path.relative_to(out)): digest(path)
                for path in sorted(out.rglob("*")) if path.is_file()}
-    return digests, failed
+    return digests, failed, peaks
 
 
 def digest(path: Path) -> str:
@@ -78,7 +90,14 @@ def main(argv=None) -> int:
         for tree in trees:
             runs.append(run_tree(tree, out))
             shutil.rmtree(out, ignore_errors=True)
-    (parent, parent_failed), (change, change_failed) = runs
+    (parent, parent_failed, parent_peaks), (change, change_failed, change_peaks) = runs
+    # Both trees make the same calls, so both have a peak for every label.
+    deltas = {label: change_peaks[label] - peak for label, peak in parent_peaks.items()}
+    print("peak RSS per call, MiB: parent -> change")
+    for label, delta in deltas.items():
+        print(f"  {label}: {parent_peaks[label]:.2f} -> {change_peaks[label]:.2f} ({delta:+.2f})")
+    label = max(deltas, key=lambda k: abs(deltas[k]))
+    print(f"largest peak RSS change: {label}: {deltas[label]:+.2f} MiB")
     bad = 0
     for label, failed in (("parent", parent_failed), ("change", change_failed)):
         for line in failed:
