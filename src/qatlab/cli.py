@@ -430,11 +430,13 @@ def task_qc(cfg: ExperimentConfig):
     qcfg = cfg.qc_config()
 
     def work(seed, save):
-        calib_before = evaluate(net, dataset.calib_x, dataset.calib_y)
-        eval_before = evaluate(net, dataset.eval_x, dataset.eval_y)
-        corrected, _params = fit_qc(net, dataset.calib_x, dataset.calib_y, qcfg, seed=seed)
-        calib_after = evaluate(corrected, dataset.calib_x, dataset.calib_y)
-        eval_after = evaluate(corrected, dataset.eval_x, dataset.eval_y)
+        calib_x, calib_y = dataset.calib_x, dataset.calib_y
+        eval_x, eval_y = dataset.eval_x, dataset.eval_y
+        calib_before = evaluate(net, calib_x, calib_y)
+        eval_before = evaluate(net, eval_x, eval_y)
+        corrected, _params = fit_qc(net, calib_x, calib_y, qcfg, seed=seed)
+        calib_after = evaluate(corrected, calib_x, calib_y)
+        eval_after = evaluate(corrected, eval_x, eval_y)
         row = {
             "calib_loss_before": calib_before["loss"],
             "calib_loss_after": calib_after["loss"],
@@ -459,14 +461,15 @@ def task_fold(cfg: ExperimentConfig):
         frozen = net.frozen()
         merged = absorb_corrections(frozen)
         folded = fold_network(merged)
+        eval_x, eval_y = dataset.eval_x, dataset.eval_y
         # In evaluate's batches, so no forward holds a whole split's activations.
-        x = shape_inputs(dataset.eval_x, net.input_shape)
+        x = shape_inputs(eval_x, net.input_shape)
         diff = float(np.max([
             np.abs(forward(folded, x[i], "quantized") - forward(frozen, x[i], "quantized")).max()
             for i in batches(len(x), EVAL_BATCH, drop_last=False)
         ]))
-        before = evaluate(frozen, dataset.eval_x, dataset.eval_y)
-        after = evaluate(folded, dataset.eval_x, dataset.eval_y)
+        before = evaluate(frozen, eval_x, eval_y)
+        after = evaluate(folded, eval_x, eval_y)
         row = {"max_abs_output_diff": diff, **_eval_before_after(before, after)}
         save(write_csv, "fold_report.csv", list(row), [row])
         if diff > 1e-6:

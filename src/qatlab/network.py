@@ -27,6 +27,15 @@ the batch-major 6-D einsums that tests/test_network.py keeps as the
 reference, except with a 1x1 output map: there the reference reduces
 (c, i, j) with numpy's vectorised dot kernel, and the forward output can
 differ from it in the last bit.
+
+A forward without a cache keeps no backward state, and its memory is
+bounded by rows: each conv layer unfolds and contracts ROW_BLOCK rows at a
+time, and when every batch norm is frozen, so that no layer reduces over
+the batch, all layers before the first dense one run block by block.  The
+bits are the cached forward's, because the conv einsums are elementwise
+along their innermost batch axis.  Dense layers always see every row at
+once: the BLAS matmul gives a row other bits when the row count is not a
+multiple of 4.
 """
 
 import math
@@ -48,6 +57,7 @@ CONV2D = "conv2d"
 DEPTHWISE = "depthwise_conv2d"
 
 FORWARD_MODES = ("latent", "quantized", "soft_round")
+ROW_BLOCK = 64  # rows per conv block in a forward that keeps no cache
 
 
 @dataclass
@@ -299,16 +309,26 @@ def _effective(x, q, mode, k, keep):
     return value, rounding if keep else None
 
 
-def _linear(layer, a, w):
+def _row_blocks(rows):
+    return [slice(start, start + ROW_BLOCK) for start in range(0, rows, ROW_BLOCK)]
+
+
+def _linear(layer, a, w, keep_cols=False):
+    """The layer's linear op plus bias on ``a`` and, with ``keep_cols``, the
+    im2col patches of every row (else None).  Without ``keep_cols`` a conv
+    layer unfolds and contracts ROW_BLOCK rows at a time."""
     if layer.kind == DENSE:
         return a @ w.T + layer.bias, None
-    cols = im2col(a, w.shape[2], w.shape[3], layer.stride, layer.pad)
-    if layer.kind == CONV2D:
-        out = np.einsum("ocij,cijyxb->oyxb", w, cols)
-    else:
-        out = np.einsum("cij,cijyxb->cyxb", w[:, 0], cols)
+    h = np.empty((len(a), *layer.output_shape(a.shape[1:])))
     bias = layer.bias[None, :, None, None]
-    return np.add(out.transpose(3, 0, 1, 2), bias, order="C"), cols
+    for rows in [slice(None)] if keep_cols else _row_blocks(len(a)):
+        cols = im2col(a[rows], w.shape[2], w.shape[3], layer.stride, layer.pad)
+        if layer.kind == CONV2D:
+            out = np.einsum("ocij,cijyxb->oyxb", w, cols)
+        else:
+            out = np.einsum("cij,cijyxb->cyxb", w[:, 0], cols)
+        np.add(out.transpose(3, 0, 1, 2), bias, out=h[rows])
+    return h, cols if keep_cols else None
 
 
 def _bn_forward(bn: BNParams, h, update_running: bool):
@@ -369,47 +389,93 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
             cache: bool = False, update_running: bool = False):
     """Run the network; returns output, or (output, cache) with cache=True.
 
-    update_running refreshes BN running statistics (training only).
+    update_running refreshes BN running statistics (training only).  A pass
+    without the cache keeps nothing for a backward and runs its conv layers
+    in blocks of ROW_BLOCK rows (see the module docstring).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise ValueError(f"input shape {x.shape[1:]} != expected {net.input_shape}")
     if mode not in FORWARD_MODES:
         raise ValueError(f"unknown forward mode {mode!r}")
+    if not cache:
+        return _forward_uncached(net, x, mode, k, update_running)
     a = x
     caches = []
     for layer in net.layers:
         orig_shape = a.shape
         if layer.kind == DENSE and a.ndim > 2:
             a = a.reshape(a.shape[0], -1)
-        a_used, a_round = _effective(a, layer.a_quant, mode, k, cache)
-        w_used, w_round = _effective(layer.weight, layer.w_quant, mode, k, cache)
-        h, cols = _linear(layer, a_used, w_used)
-        h_lin = h
+        a_used, a_round = _effective(a, layer.a_quant, mode, k, True)
+        w_used, w_round = _effective(layer.weight, layer.w_quant, mode, k, True)
+        h_lin, cols = _linear(layer, a_used, w_used, keep_cols=True)
+        h = h_lin
         if layer.qc_gamma is not None:
             h = apply_correction(h, layer.qc_gamma, layer.qc_beta)
         bn_ctx = None
         if layer.bn is not None:
             h, bn_ctx = _bn_forward(layer.bn, h, update_running)
-        out, nonlin_grad = _activate(h, layer.nonlinearity, grad=cache)
-        if cache:
-            caches.append(
-                {
-                    "orig_shape": orig_shape,
-                    "a_used": a_used,
-                    "a_round": a_round,
-                    "w_used": w_used,
-                    "w_round": w_round,
-                    "cols": cols,
-                    "h_lin": h_lin,
-                    "nonlin_grad": nonlin_grad,
-                    "bn_ctx": bn_ctx,
-                }
-            )
-        a = out
-    if cache:
-        return a, {"mode": mode, "layers": caches}
+        a, nonlin_grad = _activate(h, layer.nonlinearity, grad=True)
+        caches.append(
+            {
+                "orig_shape": orig_shape,
+                "a_used": a_used,
+                "a_round": a_round,
+                "w_used": w_used,
+                "w_round": w_round,
+                "cols": cols,
+                "h_lin": h_lin,
+                "nonlin_grad": nonlin_grad,
+                "bn_ctx": bn_ctx,
+            }
+        )
+    return a, {"mode": mode, "layers": caches}
+
+
+def _forward_uncached(net, x, mode, k, update_running):
+    """forward without a cache.  With every batch norm frozen, the layers
+    before the first dense one see each row alone, so they run block by
+    block; the layers after them, and every layer of a net whose batch norm
+    takes batch statistics, see all rows at once."""
+    layers = net.layers
+    stem = 0
+    if all(layer.bn is None or layer.bn.mode == "eval" for layer in layers):
+        stem = next((i for i, layer in enumerate(layers) if layer.kind == DENSE), len(layers))
+    a = x
+    if stem:
+        weights = [_effective(layer.weight, layer.w_quant, mode, k, False)[0]
+                   for layer in layers[:stem]]
+        shape = net.input_shape
+        for layer in layers[:stem]:
+            shape = layer.output_shape(shape)
+        a = np.empty((len(x), *shape))
+        for rows in _row_blocks(len(x)):
+            block = x[rows]
+            for layer, w_used in zip(layers[:stem], weights):
+                block = _layer_output(layer, block, mode, k, update_running, w_used)
+            a[rows] = block
+    for layer in layers[stem:]:
+        a = _layer_output(layer, a, mode, k, update_running)
     return a
+
+
+def _layer_output(layer, a, mode, k, update_running, w_used=None):
+    """One layer's output on the rows of ``a``, holding no intermediate
+    past its last use.  Unless the caller passes it, the effective weight
+    is computed after the input's, so it is not held while the input
+    rounds: that is a wide dense layer's peak."""
+    if layer.kind == DENSE and a.ndim > 2:
+        a = a.reshape(a.shape[0], -1)
+    a = _effective(a, layer.a_quant, mode, k, False)[0]
+    if w_used is None:
+        w_used = _effective(layer.weight, layer.w_quant, mode, k, False)[0]
+    h = _linear(layer, a, w_used)[0]
+    del a
+    if layer.qc_gamma is not None:
+        h = apply_correction(h, layer.qc_gamma, layer.qc_beta)
+    if layer.bn is not None:
+        h = _bn_forward(layer.bn, h, update_running)[0]
+    return _activate(h, layer.nonlinearity, grad=False)[0]
 
 
 def backward(net: NetworkSpec, cache, loss_grad, wanted=None):
@@ -417,8 +483,9 @@ def backward(net: NetworkSpec, cache, loss_grad, wanted=None):
     (every entry when None), chained through all layers.
 
     Work that feeds only unwanted entries is skipped: a layer's weight
-    gradient and its quantize backward, its bias sum and the gain and bias
-    gradients of frozen batch norm.  What is computed is the same bits
+    gradient and its quantize backward, its bias sum, the gain and bias
+    gradients of frozen batch norm, and the gradient of the net's input,
+    which only ``layer0.a_scale`` reads.  What is computed is the same bits
     either way.
 
     Requires a cache from forward(..., cache=True) in latent or quantized
@@ -470,6 +537,8 @@ def backward(net: NetworkSpec, cache, loss_grad, wanted=None):
                 g_w, g_s = quantize_backward(ctx["w_round"], layer.w_quant, g_w)
                 grads[f"{p}.w_scale"] = g_s
             grads[f"{p}.weight"] = g_w
+        if i == 0 and not (quant_a and f"{p}.a_scale" in want):
+            break  # nothing reads the net's input gradient
         if layer.kind == DENSE:
             d_a_used = d @ ctx["w_used"]
         else:

@@ -159,7 +159,9 @@ def qc_ablation(net, dataset, lr: float = 1e-4, batch: int = 32, seed: int = 0) 
     ``fit_qc`` works on a copy, so the "before" loss is one evaluation
     shared by every cell.
     """
-    before = evaluate(net, dataset.calib_x, dataset.calib_y, mode="quantized")
+    calib_x, calib_y = dataset.calib_x, dataset.calib_y
+    eval_x, eval_y = dataset.eval_x, dataset.eval_y
+    before = evaluate(net, calib_x, calib_y, mode="quantized")
     result = {}
     for granularity in (PER_TENSOR, PER_CHANNEL):
         result[granularity] = {}
@@ -171,9 +173,9 @@ def qc_ablation(net, dataset, lr: float = 1e-4, batch: int = 32, seed: int = 0) 
                 use_shift=variant in ("shift", "both"),
                 batch=batch,
             )
-            corrected, _ = fit_qc(net, dataset.calib_x, dataset.calib_y, cfg, seed=seed)
-            after = evaluate(corrected, dataset.calib_x, dataset.calib_y, mode="quantized")
-            ev = evaluate(corrected, dataset.eval_x, dataset.eval_y, mode="quantized")
+            corrected, _ = fit_qc(net, calib_x, calib_y, cfg, seed=seed)
+            after = evaluate(corrected, calib_x, calib_y, mode="quantized")
+            ev = evaluate(corrected, eval_x, eval_y, mode="quantized")
             result[granularity][variant] = {
                 "calib_loss_before": before["loss"],
                 "calib_loss_after": after["loss"],

@@ -297,12 +297,14 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
                 record_step(tracker, _weight_codes(net, qlayers))
 
         row = {"epoch": epoch, "train_loss": epoch_loss / iters_per_epoch}
-        ev = evaluate(net, dataset.eval_x, dataset.eval_y)
+        if epoch == 0:  # one copy per call, laid out after Adam's and the EMA's buffers
+            eval_x, eval_y = dataset.eval_x, dataset.eval_y
+        ev = evaluate(net, eval_x, eval_y)
         row.update({f"eval_{k}": v for k, v in ev.items()})
         if not emas:
             history.append(row)
         for alpha, ema in emas.items():
-            sev = evaluate(materialize_ema(net, ema), dataset.eval_x, dataset.eval_y)
+            sev = evaluate(materialize_ema(net, ema), eval_x, eval_y)
             shadow_histories[alpha].append({**row, **{f"ema_eval_{k}": v for k, v in sev.items()}})
     if ema_alphas is not None:
         return net, emas, tracker, shadow_histories

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from kernel_reference import reference_bn_forward, reference_nonlin, reference_nonlin_grad
+from qatlab import network
 from qatlab.network import (
     CONV2D,
     DENSE,
     DEPTHWISE,
+    FORWARD_MODES,
+    ROW_BLOCK,
     BNParams,
     LayerSpec,
     NetworkSpec,
@@ -23,6 +26,7 @@ from qatlab.network import _activate, _bn_backward, _bn_forward
 from qatlab.numeric import Rng
 from qatlab.quantizer import QuantizerState, init_scale, quantize, quantize_backward, round_to_grid
 from qatlab.training import attach_quantizers
+from test_datasets import traced_peak
 
 
 def per_tensor(s, bits=4, signed=True):
@@ -462,6 +466,32 @@ class TestBackward:
                 for name in wanted:
                     assert np.array_equal(part[name], full[name]), name
 
+    def test_input_gradient_only_for_the_first_activation_scale(self, monkeypatch):
+        # Only layer0.a_scale reads the gradient of the net's input, so
+        # without it the first conv layer folds back no patch gradients.
+        folds = []
+
+        def counting(dcols, x_shape, stride, pad):
+            folds.append(x_shape)
+            return col2im(dcols, x_shape, stride, pad)
+
+        monkeypatch.setattr(network, "col2im", counting)
+        rng = Rng(17)
+        x = rng.normal((8, 1, 4, 4))
+        net = attach_quantizers(build_cnn(rng=rng), x, bits_w=3, bits_a=3)
+        t = rng.integers(0, 3, (8,))
+        for mode, wanted, count in (
+            ("latent", None, 3),
+            ("quantized", None, 4),
+            ("quantized", ["layer0.weight", "layer1.a_scale"], 3),
+            ("quantized", ["layer0.a_scale"], 4),
+        ):
+            out, cache = forward(net, x, mode, cache=True)
+            folds.clear()
+            grads = backward(net, cache, loss_and_grad(net.loss, out, t)[1], wanted=wanted)
+            assert len(folds) == count, (mode, wanted)
+            assert all(np.isfinite(g).all() for g in grads.values())
+
     def test_training_step_rounds_each_quantizer_once(self, rounding_calls):
         # The forward rounds every weight and activation quantizer's input
         # once and keeps it; the straight-through backward rounds nothing.
@@ -504,6 +534,48 @@ BIT_IDENTITY_CASES = {
 }
 
 
+def bit_identity_net(case, granularity, rng):
+    """The quantized conv chain of BIT_IDENTITY_CASES[case], with batch norm
+    in train mode."""
+    _, in_shape, spec = BIT_IDENTITY_CASES[case]
+    layers, c_in = [], in_shape[0]
+    for kind, c_out, stride, pad in spec:
+        w = rng.normal((c_out, 1 if kind == DEPTHWISE else c_in, 3, 3)) * 0.4
+        layers.append(
+            LayerSpec(
+                kind=kind,
+                weight=w,
+                bias=rng.normal((c_out,)) * 0.1,
+                w_quant=init_scale(
+                    w,
+                    bits=3,
+                    granularity=granularity,
+                    axis=0 if granularity == "per_channel" else None,
+                ),
+                a_quant=per_tensor(0.2, bits=3),
+                bn=make_bn(c_out),
+                nonlinearity="silu",
+                stride=stride,
+                pad=pad,
+            )
+        )
+        c_in = c_out
+    return NetworkSpec(layers=layers, input_shape=in_shape, loss="mse")
+
+
+def trend_net_with_corrections(rng):
+    """The trend CNN, quantized at 3 bits, with a per-channel output
+    correction on every layer and non-trivial BN statistics."""
+    net = attach_quantizers(build_cnn(rng=rng), rng.normal((64, 1, 4, 4)), bits_w=3, bits_a=3)
+    for layer in net.layers:
+        layer.qc_gamma = 1.0 + 0.1 * rng.normal((layer.out_channels,))
+        layer.qc_beta = 0.1 * rng.normal((layer.out_channels,))
+        if layer.bn is not None:
+            layer.bn.running_mean[...] = 0.1 * rng.normal((layer.out_channels,))
+            layer.bn.running_var[...] = rng.uniform((layer.out_channels,), 1.0, 1.5)
+    return net
+
+
 class TestConvBitIdentity:
     """The conv path must reproduce the 6-D einsum reference bit for bit:
     a change of summation order (a BLAS call, a new layout, a numpy whose
@@ -513,31 +585,9 @@ class TestConvBitIdentity:
     @pytest.mark.parametrize("mode", ["latent", "quantized"])
     @pytest.mark.parametrize("granularity", ["per_tensor", "per_channel"])
     def test_matches_einsum_reference(self, case, mode, granularity):
-        batch, in_shape, spec = BIT_IDENTITY_CASES[case]
+        batch, in_shape, _ = BIT_IDENTITY_CASES[case]
         rng = Rng(23)
-        layers, c_in = [], in_shape[0]
-        for kind, c_out, stride, pad in spec:
-            w = rng.normal((c_out, 1 if kind == DEPTHWISE else c_in, 3, 3)) * 0.4
-            layers.append(
-                LayerSpec(
-                    kind=kind,
-                    weight=w,
-                    bias=rng.normal((c_out,)) * 0.1,
-                    w_quant=init_scale(
-                        w,
-                        bits=3,
-                        granularity=granularity,
-                        axis=0 if granularity == "per_channel" else None,
-                    ),
-                    a_quant=per_tensor(0.2, bits=3),
-                    bn=make_bn(c_out),
-                    nonlinearity="silu",
-                    stride=stride,
-                    pad=pad,
-                )
-            )
-            c_in = c_out
-        net = NetworkSpec(layers=layers, input_shape=in_shape, loss="mse")
+        net = bit_identity_net(case, granularity, rng)
         x = rng.normal((batch, *in_shape))
         out, cache = forward(net, x, mode, cache=True)
         g = rng.normal(out.shape)
@@ -549,6 +599,43 @@ class TestConvBitIdentity:
             assert np.array_equal(grads[name], ref), name
         for name in set(grads) - set(ref_grads):  # scales are untouched in latent mode
             assert mode == "latent" and not grads[name].any()
+
+
+class TestCacheFreeForward:
+    """A forward without a cache unfolds conv layers ROW_BLOCK rows at a
+    time, and with frozen batch norm runs the whole conv stem block by
+    block; its output must equal the cached forward's bit for bit on
+    either side of a block boundary.  The last row count is odd, so a
+    dense layer run in blocks would change bits there too."""
+
+    ROWS = (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3)
+
+    @pytest.mark.parametrize("case", [*sorted(BIT_IDENTITY_CASES), "trend_head_qc"])
+    @pytest.mark.parametrize("mode", FORWARD_MODES)
+    @pytest.mark.parametrize("bn_mode", ["train", "eval"])
+    def test_matches_cached_forward(self, case, mode, bn_mode):
+        rng = Rng(29)
+        if case == "trend_head_qc":
+            net = trend_net_with_corrections(rng)
+        else:
+            net = bit_identity_net(case, "per_channel", rng)
+        for layer in net.layers:
+            if layer.bn is not None:
+                layer.bn.mode = bn_mode
+        for rows in self.ROWS:
+            x = rng.normal((rows, *net.input_shape))
+            out = forward(net, x, mode)
+            cached, _ = forward(net, x, mode, cache=True)
+            assert out.flags.c_contiguous
+            assert np.array_equal(out, cached), rows
+
+    def test_frozen_trend_forward_is_bounded(self):
+        rng = Rng(30)
+        x = rng.normal((2000, 1, 4, 4))
+        net = attach_quantizers(build_cnn(rng=rng), x, bits_w=3, bits_a=3).frozen()
+        batch = x[:256].copy()
+        _, peak = traced_peak(forward, net, batch)
+        assert peak <= 8 * 2**20  # 13.7 MiB when every row was unfolded at once
 
 
 class TestDampening:

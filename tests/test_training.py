@@ -15,7 +15,7 @@ from kernel_reference import (
 from qatlab import network, quantizer, training
 from qatlab.datasets import build_dataset, gen_classification, gen_regression
 from qatlab.ema import materialize_ema
-from qatlab.network import build_mlp, forward
+from qatlab.network import build_cnn, build_mlp, forward
 from qatlab.numeric import Rng
 from qatlab.quantizer import SCALE_FLOOR
 from qatlab.training import (
@@ -335,6 +335,16 @@ class TestAttachQuantizers:
         net = self._net()
         attach_quantizers(net, Rng(1).normal((32, 4)))
         assert all(l.w_quant is None for l in net.layers)
+
+    def test_calibration_pass_is_bounded_per_row(self):
+        # Batch norm in train mode needs every row at once, but the conv
+        # layers unfold their patches ROW_BLOCK rows at a time.
+        rng = Rng(2)
+        net = build_cnn(rng=rng)
+        x = rng.normal((2000, 16))
+        q, peak = traced_peak(attach_quantizers, net, x, bits_w=3, bits_a=3)
+        assert q.layers[1].bn.mode == "train"
+        assert peak <= 28 * 1024 * len(x)  # 40 KiB per row with whole-batch patches
 
     def test_scales_positive_and_deterministic(self):
         net = self._net()

@@ -14,10 +14,11 @@ sha256; a manifest is hashed as its JSON less ``wall_time_s``, so its ``final``
 Each file that differs or exists in one tree only is printed, and so is
 each call that fails; the exit status is 1 if there is any, else 0.
 
-Each call's peak RSS in both trees is printed too, with the largest change.
-It is the ``ru_maxrss`` (KiB on Linux) that ``os.wait4`` reports for the
-call's process, which covers the worker processes it waited for, such as
-``toy``'s forked seeds.  It does not affect the exit status.
+Each call's peak RSS and minor page faults in both trees are printed too,
+with the largest peak change.  They are the ``ru_maxrss`` (KiB on Linux) and
+``ru_minflt`` that ``os.wait4`` reports for the call's process, which cover
+the worker processes it waited for, such as ``toy``'s forked seeds.  They do
+not affect the exit status.
 """
 
 import hashlib
@@ -40,10 +41,11 @@ SEEDS = (0, 1, 2)
 def run_tree(tree: Path, out: Path) -> tuple:
     """Make every workload call with ``tree``'s CLI under ``out``, then a
     report over their run directories; returns ({relative path: sha256} of
-    the files left there, [failed calls], {call: peak RSS in MiB})."""
+    the files left there, [failed calls], {call: (peak RSS in MiB, minor
+    page faults)})."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1"}
     failed = []
-    peaks = {}
+    usages = {}
 
     def call(label, argv):
         with tempfile.TemporaryFile() as err:
@@ -51,7 +53,7 @@ def run_tree(tree: Path, out: Path) -> tuple:
                                     env=env, stdout=subprocess.DEVNULL, stderr=err)
             _, status, usage = os.wait4(proc.pid, 0)
             proc.returncode = os.waitstatus_to_exitcode(status)
-            peaks[label] = usage.ru_maxrss / 1024.0
+            usages[label] = usage.ru_maxrss / 1024.0, usage.ru_minflt
             if proc.returncode != 0:
                 err.seek(0)
                 stderr = err.read().decode(errors="replace")
@@ -65,7 +67,7 @@ def run_tree(tree: Path, out: Path) -> tuple:
     call("report", ["report", "--out", str(out / "report"), *runs])
     digests = {str(path.relative_to(out)): digest(path)
                for path in sorted(out.rglob("*")) if path.is_file()}
-    return digests, failed, peaks
+    return digests, failed, usages
 
 
 def digest(path: Path) -> str:
@@ -90,12 +92,14 @@ def main(argv=None) -> int:
         for tree in trees:
             runs.append(run_tree(tree, out))
             shutil.rmtree(out, ignore_errors=True)
-    (parent, parent_failed, parent_peaks), (change, change_failed, change_peaks) = runs
+    (parent, parent_failed, parent_usage), (change, change_failed, change_usage) = runs
     # Both trees make the same calls, so both have a peak for every label.
-    deltas = {label: change_peaks[label] - peak for label, peak in parent_peaks.items()}
-    print("peak RSS per call, MiB: parent -> change")
+    deltas = {label: change_usage[label][0] - peak for label, (peak, _) in parent_usage.items()}
+    print("peak RSS per call, MiB, and minor page faults: parent -> change")
     for label, delta in deltas.items():
-        print(f"  {label}: {parent_peaks[label]:.2f} -> {change_peaks[label]:.2f} ({delta:+.2f})")
+        (peak, faults), (new_peak, new_faults) = parent_usage[label], change_usage[label]
+        print(f"  {label}: {peak:.2f} -> {new_peak:.2f} MiB ({delta:+.2f}),"
+              f" {faults} -> {new_faults} faults")
     label = max(deltas, key=lambda k: abs(deltas[k]))
     print(f"largest peak RSS change: {label}: {deltas[label]:+.2f} MiB")
     bad = 0
