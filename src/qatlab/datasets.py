@@ -4,7 +4,9 @@ builders' signatures are the schema of the ``dataset`` config section."""
 import csv
 import dataclasses
 import inspect
+import math
 import struct
+from array import array
 from dataclasses import dataclass
 from typing import Literal
 
@@ -19,6 +21,8 @@ _IDX_UBYTE = 0x08
 
 # Rows of blob points drawn at a time: 1.6 MB at 784 features.
 BLOB_BLOCK_ROWS = 256
+# LAPACK's (ilaenv's) panel width and crossover size for DGEQRF and DORGQR.
+QR_PANEL, QR_CROSSOVER = 32, 128
 
 
 @dataclass
@@ -128,9 +132,19 @@ def gen_regression(
 def _blob_centers(classes, dim, separation, rng):
     if dim >= classes:
         # Rotated one-hot corners: pairwise distance separation * sqrt(2).
-        basis = np.zeros((classes, dim))
+        # The rotation is Q of a dim x dim normal draw's QR, of which the
+        # corners use the first `classes` columns.  Above dim QR_CROSSOVER,
+        # LAPACK's blocked QR factors and forms those columns from the first
+        # QR_PANEL columns alone, with the same calls, so a QR of just those
+        # columns has the same bits.  Fewer columns than a panel do not.
+        k = QR_PANEL if dim > QR_CROSSOVER and classes <= QR_PANEL else dim
+        g = np.empty((dim, k))
+        for start in range(0, dim, BLOB_BLOCK_ROWS):
+            rows = slice(start, min(start + BLOB_BLOCK_ROWS, dim))
+            g[rows] = rng.normal((rows.stop - start, dim))[:, :k]
+        q, _ = np.linalg.qr(g)
+        basis = np.zeros((classes, k))
         basis[np.arange(classes), np.arange(classes)] = separation
-        q, _ = np.linalg.qr(rng.normal((dim, dim)))
         return basis @ q.T
     if dim == 2:
         ang = 2.0 * np.pi * np.arange(classes) / classes
@@ -260,40 +274,44 @@ def load_csv(
     the targets and every other column is a feature.  Every cell must be a
     finite number; one that is not (``abc``, ``nan``, ``inf``, ``1e400``)
     is rejected with its line."""
+    header, records, error, bad = None, array("d"), None, None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            # Each record with the physical line it ends on.
-            rows = [(reader.line_num, row) for row in reader]
+            header = next(reader, None)
+            # Each record goes into the flat buffer as doubles as it is read.
+            # After the first record error the reading goes on, so that a
+            # csv.Error further on still comes first.
+            for row in reader:
+                if error is not None:
+                    continue
+                if len(row) != len(header):
+                    error = f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                    continue
+                try:
+                    floats = [float(cell) for cell in row]
+                except ValueError as exc:
+                    error = f"line {reader.line_num}: {exc}"
+                    continue
+                if bad is None and not all(map(math.isfinite, floats)):
+                    j = next(j for j, v in enumerate(floats) if not math.isfinite(v))
+                    bad = reader.line_num, header[j], row[j]
+                records.extend(floats)
         except csv.Error as exc:
             raise ValueError(f"{path}: {exc}") from None
-    if not rows:
+    if header is None:
         raise ValueError(f"{path}: empty file")
-    header = rows[0][1]
     if target not in header:
         raise ValueError(f"{path}: no column named {target!r} in header")
     t_col = header.index(target)
-    if len(rows) < 2:
+    if error is not None:
+        raise ValueError(f"{path}: {error}")
+    if not records:
         raise ValueError(f"{path}: no data rows")
-
-    values = []
-    for lineno, row in rows[1:]:
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            values.append([float(cell) for cell in row])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    values = np.asarray(values, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, j = bad[0]
-        lineno, row = rows[i + 1]
-        raise ValueError(
-            f"{path}: line {lineno}: column {header[j]!r} is not a finite number: {row[j]!r}"
-        )
+    if bad is not None:
+        lineno, column, cell = bad
+        raise ValueError(f"{path}: line {lineno}: column {column!r} is not a finite number: {cell!r}")
+    values = np.frombuffer(records, dtype=np.float64).reshape(-1, len(header))
 
     x = np.delete(values, t_col, axis=1)
     y = values[:, t_col].copy()

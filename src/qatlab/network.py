@@ -47,6 +47,7 @@ import numpy as np
 from .quantizer import (
     QuantizerState,
     SoftRoundConfig,
+    quantize,
     quantize_backward,
     round_to_grid,
     soft_round,
@@ -300,13 +301,16 @@ def col2im(dcols, x_shape, stride, pad):
 
 def _effective(x, q, mode, k, keep):
     """The value a layer uses in place of x under quantizer q and, if keep
-    is set, the rounding the backward reuses (None when not kept)."""
+    is set, the rounding the backward reuses (None when not kept, and then
+    the value is rounded in one array the size of x)."""
     if q is None or mode == "latent":
         return x, None
     if mode == "soft_round":
         return soft_round(x, q, SoftRoundConfig(k=k)), None
+    if not keep:
+        return quantize(x, q), None
     value, _, rounding = round_to_grid(x, q)
-    return value, rounding if keep else None
+    return value, rounding
 
 
 def _row_blocks(rows):

@@ -1,9 +1,11 @@
 """Simulated (fake) quantization with a learned step size.
 
 Forward pass maps a tensor onto the uniform grid ``s * clip(round(w / s), u, v)``.
-The fake-quantize forward rounds in one place, ``round_to_grid``: it
+A fake-quantize forward that trains rounds in ``round_to_grid``: it
 computes ``z = w / s``, ``r = round(z)`` and the clipped code once and
-returns them as a ``Rounding`` beside the fake-quantized value.  The
+returns them as a ``Rounding`` beside the fake-quantized value.  Where only
+the value or the code is wanted, ``quantize`` and ``integer_code`` give the
+same bits from one working array the size of w.  The
 backward pass takes that rounding from the forward instead of rounding
 again; it treats the rounding operator as identity inside the clip range
 (straight-through) and produces the learned-step-size gradient for the
@@ -49,9 +51,23 @@ PER_CHANNEL = "per_channel"
 _BELOW_HALF = np.nextafter(0.5, 0.0)
 
 
-def round_half_away(z: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero."""
-    return np.sign(z) * np.floor(np.abs(z) + _BELOW_HALF)
+def round_half_away(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Round to nearest integer, ties away from zero.
+
+    With ``out`` (which may be z) it rounds into ``out`` and holds one byte
+    per element beside it, -1 where z < 0 and 1 elsewhere, for the same
+    bits, -0.0 included.  That takes about twice the time of the
+    temporaries on a 3-element array, and a masked
+    ``np.negative(..., where=)`` fifteen times the time on a weight matrix."""
+    if out is None:
+        return np.sign(z) * np.floor(np.abs(z) + _BELOW_HALF)
+    sign = np.less(z, 0.0).view(np.int8)
+    sign *= -2
+    sign += 1
+    r = np.abs(z, out=out)
+    r += _BELOW_HALF
+    np.floor(r, out=r)
+    return np.multiply(r, sign, out=r)
 
 
 def integer_range(bits: int, signed: bool) -> tuple[int, int]:
@@ -147,24 +163,40 @@ def round_to_grid(
 
     Rejects non-finite input, which has no grid code.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if not np.isfinite(w).all():
-        raise ValueError("quantizer rejects non-finite input")
-    s = q.broadcast_scale(w)
-    z = w / s
+    z, s = _scaled(w, q)
     r = round_half_away(z)
     code = r.clip(q.u, q.v)
     return s * code, code, Rounding(z, r, code)
 
 
+def _scaled(w: np.ndarray, q: QuantizerState) -> tuple[np.ndarray, np.ndarray]:
+    """``(w / s, s)`` as a new array and q's broadcast scale; rejects
+    non-finite w, which has no grid code."""
+    w = np.asarray(w, dtype=np.float64)
+    if not np.isfinite(w).all():
+        raise ValueError("quantizer rejects non-finite input")
+    s = q.broadcast_scale(w)
+    return np.divide(w, s, out=np.empty(w.shape)), s
+
+
+def _grid_code(w: np.ndarray, q: QuantizerState) -> tuple[np.ndarray, np.ndarray]:
+    """``(clip(round(w / s), u, v), s)``: the bits of round_to_grid's code,
+    rounded and clipped in place in one array the size of w."""
+    code, s = _scaled(w, q)
+    round_half_away(code, out=code)
+    return np.clip(code, q.u, q.v, out=code), s
+
+
 def quantize(w: np.ndarray, q: QuantizerState) -> np.ndarray:
-    """Map w onto the quantization grid: s * clip(round(w / s), u, v)."""
-    return round_to_grid(w, q)[0]
+    """Map w onto the quantization grid: s * clip(round(w / s), u, v), the
+    value of round_to_grid without its Rounding."""
+    code, s = _grid_code(w, q)
+    return np.multiply(s, code, out=code)
 
 
 def integer_code(w: np.ndarray, q: QuantizerState) -> np.ndarray:
     """Integer grid index of each element: clip(round(w / s), u, v)."""
-    return round_to_grid(w, q)[1].astype(np.int64)
+    return _grid_code(w, q)[0].astype(np.int64)
 
 
 @functools.cache

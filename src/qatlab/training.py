@@ -148,13 +148,17 @@ def attach_quantizers(
     return net
 
 
-def evaluate(net, x, y, mode: str = "quantized", batch: int = EVAL_BATCH, k: float = 0.45) -> dict:
-    """Average loss (and accuracy for classifiers) over ``x`` with
-    batch-norm in eval mode.  Short final batches are kept."""
+def evaluate(net, x, y, mode: str = "quantized", batch: int = EVAL_BATCH, k: float = 0.45,
+             rows=None) -> dict:
+    """Average loss (and accuracy for classifiers) over ``x``'s ``rows``
+    (all by default), in that order, with batch-norm in eval mode.  Only
+    each batch's rows are copied.  Short final batches are kept."""
     net = net.frozen()
     x = shape_inputs(x, net.input_shape)
+    rows = np.arange(len(x)) if rows is None else np.asarray(rows)
     total, correct, seen = 0.0, 0, 0
-    for idx in batches(len(x), batch, drop_last=False):
+    for idx in batches(len(rows), batch, drop_last=False):
+        idx = rows[idx]
         out = forward(net, x[idx], mode=mode, k=k)
         loss, _ = loss_and_grad(net.loss, out, y[idx])
         total += loss * len(idx)
@@ -285,6 +289,7 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
 
     history = []
     shadow_histories = {alpha: [] for alpha in emas}
+    x, y, eval_rows = dataset.inputs, dataset.targets, dataset.eval_idx
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         for idx in batches(len(train), cfg.batch, drop_last=True, rng=rng):
@@ -297,14 +302,12 @@ def train_qat(net, dataset, cfg: TrainConfig, ema_alphas=None):
                 record_step(tracker, _weight_codes(net, qlayers))
 
         row = {"epoch": epoch, "train_loss": epoch_loss / iters_per_epoch}
-        if epoch == 0:  # one copy per call, laid out after Adam's and the EMA's buffers
-            eval_x, eval_y = dataset.eval_x, dataset.eval_y
-        ev = evaluate(net, eval_x, eval_y)
+        ev = evaluate(net, x, y, rows=eval_rows)
         row.update({f"eval_{k}": v for k, v in ev.items()})
         if not emas:
             history.append(row)
         for alpha, ema in emas.items():
-            sev = evaluate(materialize_ema(net, ema), eval_x, eval_y)
+            sev = evaluate(materialize_ema(net, ema), x, y, rows=eval_rows)
             shadow_histories[alpha].append({**row, **{f"ema_eval_{k}": v for k, v in sev.items()}})
     if ema_alphas is not None:
         return net, emas, tracker, shadow_histories

@@ -19,9 +19,9 @@ def rounding_calls(monkeypatch):
     calls = []
     original = quantizer.round_half_away
 
-    def counting(z):
+    def counting(z, out=None):
         calls.append(np.shape(z))
-        return original(z)
+        return original(z, out=out)
 
     monkeypatch.setattr(quantizer, "round_half_away", counting)
     return calls

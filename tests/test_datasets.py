@@ -46,6 +46,19 @@ def one_shot_blobs(seed, n, classes, dim, noise, separation=6.0):
     return x[order], labels[order]
 
 
+def full_qr_centers(classes, dim, separation, rng):
+    """Blob centers from the QR of the whole dim x dim normal draw: the
+    reference for _blob_centers' QR of its first columns."""
+    basis = np.zeros((classes, dim))
+    basis[np.arange(classes), np.arange(classes)] = separation
+    q, _ = np.linalg.qr(rng.normal((dim, dim)))
+    return basis @ q.T
+
+
+# The dataset section of the benchmark's mlp_wide workload.
+MLP_WIDE_SPEC = {"kind": "blobs", "seed": 0, "n": 2000, "dim": 784, "classes": 3}
+
+
 class TestDatasetInvariants:
     def _base(self, **kw):
         args = dict(
@@ -182,6 +195,22 @@ class TestClassification:
         # over twice the inputs.
         d, peak = traced_peak(build_dataset, {"kind": "blobs", "seed": 0, "n": 20000, "dim": 64})
         assert peak <= 1.5 * d.inputs.nbytes
+
+    # Around LAPACK's crossover (dim 128) and panel width (32 columns).
+    @pytest.mark.parametrize("dim, classes", [
+        (dim, classes) for dim in (16, 128, 129, 200, 784) for classes in (2, 3, 10, 32, 33)
+        if classes <= dim
+    ])
+    def test_centers_equal_full_qr(self, dim, classes):
+        for seed in (0, 1):
+            got = _blob_centers(classes, dim, 6.0, Rng(seed).child("centers"))
+            want = full_qr_centers(classes, dim, 6.0, Rng(seed).child("centers"))
+            assert got.tobytes() == want.tobytes(), seed
+
+    def test_wide_blobs_hold_no_square_draw(self):
+        # The 784 x 784 draw and its QR took the peak to 1.68x the inputs.
+        d, peak = traced_peak(build_dataset, MLP_WIDE_SPEC)
+        assert peak <= 1.4 * d.inputs.nbytes
 
     def test_deterministic(self):
         a = gen_classification(seed=4, n=120, classes=4, dim=4)
@@ -342,6 +371,38 @@ class TestLoadCsv:
     def test_oversized_field(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,y\n" + "1" * 200_000 + ",2.0\n")
+        with pytest.raises(ValueError, match="field larger than field limit"):
+            load_csv(p, target="y")
+
+    def test_records_become_doubles_as_they_are_read(self, tmp_path):
+        # Holding every record's strings and then its floats peaked at 17x.
+        values = Rng(0).normal((5000, 21))
+        p = tmp_path / "d.csv"
+        lines = [",".join([f"c{j}" for j in range(20)] + ["y"])]
+        lines += [",".join(map(repr, row)) for row in values.tolist()]
+        p.write_text("\n".join(lines) + "\n")
+        d, peak = traced_peak(load_csv, p, target="y", eval_fraction=0.0)
+        assert np.sort(d.targets[:, 0]).tobytes() == np.sort(values[:, 20]).tobytes()
+        assert peak <= 4 * d.inputs.nbytes
+
+    def test_record_errors_come_before_non_finite_cells(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,y\n1.0,nan\n2.0,3.0,4.0\n")
+        with pytest.raises(ValueError, match="line 3: expected 2 fields"):
+            load_csv(p, target="y")
+        p.write_text("a,y\n1.0,inf\nbogus,3.0\n")
+        with pytest.raises(ValueError, match="line 3: could not convert"):
+            load_csv(p, target="y")
+
+    def test_first_non_finite_cell_in_row_order(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,y\n1.0,2.0\n3.0,-inf\nnan,1.0\n")
+        with pytest.raises(ValueError, match="line 3: column 'y' .*: '-inf'"):
+            load_csv(p, target="y")
+
+    def test_csv_error_comes_before_record_errors(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,y\n1.0,2.0,3.0\n" + "1" * 200_000 + ",2.0\n")
         with pytest.raises(ValueError, match="field larger than field limit"):
             load_csv(p, target="y")
 

@@ -637,6 +637,15 @@ class TestCacheFreeForward:
         _, peak = traced_peak(forward, net, batch)
         assert peak <= 8 * 2**20  # 13.7 MiB when every row was unfolded at once
 
+    def test_frozen_wide_mlp_forward_rounds_in_one_array(self):
+        # The input layer's rounding set the peak: 4.0x the batch when it
+        # kept z, r and the code beside the value.
+        rng = Rng(31)
+        x = rng.normal((256, 784))
+        net = attach_quantizers(build_mlp(784, 3, rng=rng), x).frozen()
+        _, peak = traced_peak(forward, net, x)
+        assert peak <= 2.5 * x.nbytes
+
 
 class TestDampening:
     def test_on_grid_zero(self):

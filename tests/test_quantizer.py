@@ -69,6 +69,12 @@ class TestRounding:
             np.signbit(r), [False, False, False, True, False, True, False, True, False]
         )
 
+    def test_in_place_rounding_keeps_the_bits(self):
+        z = np.array([0.0, -0.0, 0.5, -0.5, np.nextafter(0.5, 0.0), -0.3, 2.5, -2.5, 7.2])
+        r = z.copy()
+        assert round_half_away(r, out=r) is r
+        assert r.tobytes() == round_half_away(z).tobytes()
+
     def test_integers_are_fixed_points_up_to_2_53(self):
         # An odd integer in [2**52, 2**53) plus 0.5 is a tie that rounds up
         # to the next integer; plus 0.5 - ulp it stays put.
@@ -332,6 +338,40 @@ class TestIntegerCode:
         same_code = integer_code(w1, q) == integer_code(w2, q)
         same_value = quantize(w1, q) == quantize(w2, q)
         np.testing.assert_array_equal(same_code, same_value)
+
+
+# In units of the scale: signed zeros, ties, the zeros of either sign that
+# 0.5 - ulp rounds to, and values far outside every grid.
+GRID_EDGES = np.array([0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.3, -0.3,
+                       np.nextafter(0.5, 0.0), -np.nextafter(0.5, 0.0), 7.5, -8.5, 300.0, -300.0])
+
+
+class TestOneArrayRounding:
+    """quantize and integer_code round and clip in one working array, and
+    must give the bits of round_to_grid's value and code."""
+
+    def _check(self, w, q):
+        value, code, _ = round_to_grid(w, q)
+        assert quantize(w, q).tobytes() == value.tobytes()
+        assert integer_code(w, q).tobytes() == code.astype(np.int64).tobytes()
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 8])
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_per_tensor(self, bits, signed):
+        q = qs(0.25, bits=bits, signed=signed)  # dyadic, so the ties stay exact
+        self._check(np.concatenate([0.25 * GRID_EDGES, Rng(bits).uniform((256,), -3.0, 3.0)]), q)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_per_channel(self, axis, bits):
+        s = np.array([0.25, 0.5, 1.0, 0.13])
+        q = QuantizerState(s=s, bits=bits, signed=True, granularity=PER_CHANNEL, axis=axis)
+        w = np.concatenate([s[:, None] * GRID_EDGES, Rng(axis).uniform((4, 64), -2.0, 2.0)], 1)
+        self._check(w if axis == 0 else w.T.copy(), q)
+
+    def test_zero_dim(self):
+        for z in GRID_EDGES:
+            self._check(np.array(0.25 * z), qs(0.25, bits=3))
 
 
 class TestInitScale:

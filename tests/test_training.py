@@ -29,7 +29,7 @@ from qatlab.training import (
     train_latent,
     train_qat,
 )
-from test_datasets import traced_peak
+from test_datasets import MLP_WIDE_SPEC, traced_peak
 from test_oscillation import windowed_recount
 
 
@@ -379,6 +379,15 @@ class TestEvaluate:
         assert a["loss"] == pytest.approx(b["loss"])
         assert a["accuracy"] == b["accuracy"]
 
+    def test_rows_score_those_rows_in_order(self):
+        net = build_mlp(4, 3, hidden=(5,), rng=Rng(2), loss="softmax_ce")
+        x = Rng(3).normal((40, 4))
+        y = Rng(4).integers(0, 3, (40,))
+        rows = Rng(5).permutation(40)[:25]
+        for net, mode in ((net, "latent"), (attach_quantizers(net, x), "quantized")):
+            got = evaluate(net, x, y, mode=mode, batch=8, rows=rows)
+            assert got == evaluate(net, x[rows], y[rows], mode=mode, batch=8)
+
     def test_does_not_mutate_bn_mode(self):
         net = build_mlp(4, 2, hidden=(5,), rng=Rng(0), loss="mse")
         evaluate(net, np.zeros((4, 4)), np.zeros((4, 2)), mode="latent")
@@ -465,6 +474,14 @@ class TestTrainQat:
         assert tracker.recorded == 0
         for k, v in qnet.parameters().items():
             np.testing.assert_array_equal(v, before[k])
+
+    def test_wide_epoch_is_bounded(self):
+        # 11.7 MiB when the eval rows were copied once per call and every
+        # evaluate forward rounded into four arrays.
+        d = build_dataset(MLP_WIDE_SPEC)
+        net = attach_quantizers(build_mlp(784, 3, rng=Rng(0)), d.calib_x)
+        _, peak = traced_peak(train_qat, net, d, TrainConfig(epochs=1))
+        assert peak <= 8 * 2**20
 
     def test_history_and_tracker_shapes(self):
         d, qnet = self._setup()
