@@ -4,10 +4,10 @@ builders' signatures are the schema of the ``dataset`` config section."""
 import csv
 import dataclasses
 import inspect
-import math
 import struct
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Literal
 
 import numpy as np
@@ -21,7 +21,10 @@ _IDX_UBYTE = 0x08
 
 # Rows of blob points drawn at a time: 1.6 MB at 784 features.
 BLOB_BLOCK_ROWS = 256
-# LAPACK's (ilaenv's) panel width and crossover size for DGEQRF and DORGQR.
+# The panel width and crossover size that ilaenv gives DGEQRF and DORGQR in
+# the reference-LAPACK/OpenBLAS build numpy bundles.  Another LAPACK (MKL,
+# Accelerate) may block differently; tests/test_datasets.py
+# test_centers_equal_full_qr must then fail.
 QR_PANEL, QR_CROSSOVER = 32, 128
 
 
@@ -134,9 +137,10 @@ def _blob_centers(classes, dim, separation, rng):
         # Rotated one-hot corners: pairwise distance separation * sqrt(2).
         # The rotation is Q of a dim x dim normal draw's QR, of which the
         # corners use the first `classes` columns.  Above dim QR_CROSSOVER,
-        # LAPACK's blocked QR factors and forms those columns from the first
-        # QR_PANEL columns alone, with the same calls, so a QR of just those
-        # columns has the same bits.  Fewer columns than a panel do not.
+        # numpy's bundled LAPACK factors and forms those columns from the
+        # first QR_PANEL columns alone, with the same calls, so a QR of just
+        # those columns has the same bits on that build (and only under its
+        # block sizes; see QR_PANEL).  Fewer columns than a panel do not.
         k = QR_PANEL if dim > QR_CROSSOVER and classes <= QR_PANEL else dim
         g = np.empty((dim, k))
         for start in range(0, dim, BLOB_BLOCK_ROWS):
@@ -274,7 +278,7 @@ def load_csv(
     the targets and every other column is a feature.  Every cell must be a
     finite number; one that is not (``abc``, ``nan``, ``inf``, ``1e400``)
     is rejected with its line."""
-    header, records, error, bad = None, array("d"), None, None
+    header, records, error = None, array("d"), None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -289,14 +293,9 @@ def load_csv(
                     error = f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
                     continue
                 try:
-                    floats = [float(cell) for cell in row]
+                    records.extend([float(cell) for cell in row])
                 except ValueError as exc:
                     error = f"line {reader.line_num}: {exc}"
-                    continue
-                if bad is None and not all(map(math.isfinite, floats)):
-                    j = next(j for j, v in enumerate(floats) if not math.isfinite(v))
-                    bad = reader.line_num, header[j], row[j]
-                records.extend(floats)
         except csv.Error as exc:
             raise ValueError(f"{path}: {exc}") from None
     if header is None:
@@ -308,10 +307,14 @@ def load_csv(
         raise ValueError(f"{path}: {error}")
     if not records:
         raise ValueError(f"{path}: no data rows")
-    if bad is not None:
-        lineno, column, cell = bad
-        raise ValueError(f"{path}: line {lineno}: column {column!r} is not a finite number: {cell!r}")
     values = np.frombuffer(records, dtype=np.float64).reshape(-1, len(header))
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]  # the first in row-major order
+        lineno, cell = _record_cell(path, i, j)
+        raise ValueError(
+            f"{path}: line {lineno}: column {header[j]!r} is not a finite number: {cell!r}"
+        )
 
     x = np.delete(values, t_col, axis=1)
     y = values[:, t_col].copy()
@@ -322,6 +325,15 @@ def load_csv(
     else:
         y = y[:, None]
     return _split_dataset(x, y, task, seed, eval_fraction, calib_fraction)
+
+
+def _record_cell(path: str, i: int, j: int) -> tuple[int, str]:
+    """The physical line that ends data record i of a CSV file, and the
+    text of its cell j."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        row = next(islice(reader, i + 1, None))  # record 0 is the header
+        return reader.line_num, row[j]
 
 
 # dataset.kind -> builder; blobs and spirals are gen_classification's kinds.

@@ -70,9 +70,11 @@ class TestRounding:
         )
 
     def test_in_place_rounding_keeps_the_bits(self):
-        z = np.array([0.0, -0.0, 0.5, -0.5, np.nextafter(0.5, 0.0), -0.3, 2.5, -2.5, 7.2])
+        below_half = np.nextafter(0.5, 0.0)
+        z = np.array([0.0, -0.0, 0.5, -0.5, below_half, -0.3, 2.5, -2.5, 7.2])
         r = z.copy()
         assert round_half_away(r, out=r) is r
+        assert r.tobytes() == (np.sign(z) * np.floor(np.abs(z) + below_half)).tobytes()
         assert r.tobytes() == round_half_away(z).tobytes()
 
     def test_integers_are_fixed_points_up_to_2_53(self):
