@@ -430,13 +430,12 @@ def task_qc(cfg: ExperimentConfig):
     qcfg = cfg.qc_config()
 
     def work(seed, save):
-        calib_x, calib_y = dataset.calib_x, dataset.calib_y
-        eval_x, eval_y = dataset.eval_x, dataset.eval_y
-        calib_before = evaluate(net, calib_x, calib_y)
-        eval_before = evaluate(net, eval_x, eval_y)
-        corrected, _params = fit_qc(net, calib_x, calib_y, qcfg, seed=seed)
-        calib_after = evaluate(corrected, calib_x, calib_y)
-        eval_after = evaluate(corrected, eval_x, eval_y)
+        x, y, calib, eval_rows = dataset.inputs, dataset.targets, dataset.calib_idx, dataset.eval_idx
+        calib_before = evaluate(net, x, y, rows=calib)
+        eval_before = evaluate(net, x, y, rows=eval_rows)
+        corrected, _params = fit_qc(net, dataset.calib_x, dataset.calib_y, qcfg, seed=seed)
+        calib_after = evaluate(corrected, x, y, rows=calib)
+        eval_after = evaluate(corrected, x, y, rows=eval_rows)
         row = {
             "calib_loss_before": calib_before["loss"],
             "calib_loss_after": calib_after["loss"],
@@ -461,15 +460,15 @@ def task_fold(cfg: ExperimentConfig):
         frozen = net.frozen()
         merged = absorb_corrections(frozen)
         folded = fold_network(merged)
-        eval_x, eval_y = dataset.eval_x, dataset.eval_y
+        x, y, rows = dataset.inputs, dataset.targets, dataset.eval_idx
         # In evaluate's batches, so no forward holds a whole split's activations.
-        x = shape_inputs(eval_x, net.input_shape)
+        shaped = shape_inputs(x, net.input_shape)
         diff = float(np.max([
-            np.abs(forward(folded, x[i], "quantized") - forward(frozen, x[i], "quantized")).max()
-            for i in batches(len(x), EVAL_BATCH, drop_last=False)
+            np.abs(forward(folded, xb, "quantized") - forward(frozen, xb, "quantized")).max()
+            for xb in (shaped[rows[i]] for i in batches(len(rows), EVAL_BATCH, drop_last=False))
         ]))
-        before = evaluate(frozen, eval_x, eval_y)
-        after = evaluate(folded, eval_x, eval_y)
+        before = evaluate(frozen, x, y, rows=rows)
+        after = evaluate(folded, x, y, rows=rows)
         row = {"max_abs_output_diff": diff, **_eval_before_after(before, after)}
         save(write_csv, "fold_report.csv", list(row), [row])
         if diff > 1e-6:
@@ -488,9 +487,8 @@ def task_eval(cfg: ExperimentConfig):
         target, mode = net, cfg.eval_mode
         if mode == "ema_quantized":
             target, mode = _shadow_net(net, ema), "quantized"
-        result = evaluate(
-            target, dataset.eval_x, dataset.eval_y, mode=mode, k=cfg.soft_round_k
-        )
+        result = evaluate(target, dataset.inputs, dataset.targets, mode=mode,
+                          k=cfg.soft_round_k, rows=dataset.eval_idx)
         row = {"mode": cfg.eval_mode, **result}
         save(write_csv, "eval.csv", list(row), [row])
         return {"final": row}

@@ -249,15 +249,20 @@ def apply_correction(h, gamma, beta):
 
 def _activate(h, kind, grad: bool):
     """The nonlinearity at h and, with ``grad``, its derivative at h (else
-    None).  Silu computes its sigmoid once for both."""
+    None).  Without ``grad`` the caller gives up h, and the value is
+    written into it.  Silu computes its sigmoid once, in one array."""
     if kind == "relu":
-        return np.maximum(h, 0.0), (h > 0.0).astype(np.float64) if grad else None
+        out = np.maximum(h, 0.0, out=None if grad else h)
+        return out, (h > 0.0).astype(np.float64) if grad else None
     if kind == "silu":
+        sig = np.negative(h)
         with np.errstate(over="ignore"):  # exp(-h) is inf below h = -709: sig is 0
-            sig = 1.0 / (1.0 + np.exp(-h))
-        out = h * sig
+            np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
         if not grad:
-            return out, None
+            return np.multiply(h, sig, out=h), None
+        out = h * sig
         d = 1.0 - sig  # sig * (1 + h * (1 - sig)), built in place
         d *= h
         d += 1.0
@@ -335,7 +340,9 @@ def _linear(layer, a, w, keep_cols=False):
     return h, cols if keep_cols else None
 
 
-def _bn_forward(bn: BNParams, h, update_running: bool):
+def _bn_forward(bn: BNParams, h, update_running: bool, own: bool = False):
+    """(output, backward context).  With ``own`` the caller gives up h: it is
+    centred, normalised, scaled and shifted in place, with no context."""
     axes = (0,) if h.ndim == 2 else (0, 2, 3)
     shape = [1] * h.ndim
     shape[1] = bn.channels
@@ -344,7 +351,7 @@ def _bn_forward(bn: BNParams, h, update_running: bool):
         # bit, and the centered batch becomes x_hat.
         n = h.size // bn.channels
         mean = h.mean(axis=axes)
-        centered = h - mean.reshape(shape)
+        centered = np.subtract(h, mean.reshape(shape), out=h if own else None)
         var = np.square(centered).sum(axis=axes) / n
         if update_running:
             unbiased = var * (n / (n - 1)) if n > 1 else var
@@ -355,11 +362,15 @@ def _bn_forward(bn: BNParams, h, update_running: bool):
                 1.0 - bn.momentum
             ) * bn.running_var + bn.momentum * unbiased
     else:
-        centered = h - bn.running_mean.reshape(shape)
+        centered = np.subtract(h, bn.running_mean.reshape(shape), out=h if own else None)
         var = bn.running_var
     std = np.sqrt(var + bn.eps)
     x_hat = centered
     x_hat /= std.reshape(shape)
+    if own:
+        x_hat *= bn.gain.reshape(shape)
+        x_hat += bn.bias.reshape(shape)
+        return x_hat, None
     out = bn.gain.reshape(shape) * x_hat + bn.bias.reshape(shape)
     return out, {"x_hat": x_hat, "std": std, "axes": axes, "shape": shape}
 
@@ -428,7 +439,7 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
                 "w_used": w_used,
                 "w_round": w_round,
                 "cols": cols,
-                "h_lin": h_lin,
+                "h_lin": h_lin if layer.qc_gamma is not None else None,
                 "nonlin_grad": nonlin_grad,
                 "bn_ctx": bn_ctx,
             }
@@ -465,7 +476,8 @@ def _forward_uncached(net, x, mode, k, update_running):
 
 def _layer_output(layer, a, mode, k, update_running, w_used=None):
     """One layer's output on the rows of ``a``, holding no intermediate
-    past its last use.  Unless the caller passes it, the effective weight
+    past its last use (batch norm and the nonlinearity write into the
+    linear op's output).  Unless the caller passes it, the effective weight
     is computed after the input's, so it is not held while the input
     rounds: that is a wide dense layer's peak."""
     if layer.kind == DENSE and a.ndim > 2:
@@ -478,7 +490,7 @@ def _layer_output(layer, a, mode, k, update_running, w_used=None):
     if layer.qc_gamma is not None:
         h = apply_correction(h, layer.qc_gamma, layer.qc_beta)
     if layer.bn is not None:
-        h = _bn_forward(layer.bn, h, update_running)[0]
+        h = _bn_forward(layer.bn, h, update_running, own=True)[0]
     return _activate(h, layer.nonlinearity, grad=False)[0]
 
 

@@ -160,8 +160,8 @@ def qc_ablation(net, dataset, lr: float = 1e-4, batch: int = 32, seed: int = 0) 
     shared by every cell.
     """
     calib_x, calib_y = dataset.calib_x, dataset.calib_y
-    eval_x, eval_y = dataset.eval_x, dataset.eval_y
-    before = evaluate(net, calib_x, calib_y, mode="quantized")
+    x, y = dataset.inputs, dataset.targets
+    before = evaluate(net, x, y, rows=dataset.calib_idx)
     result = {}
     for granularity in (PER_TENSOR, PER_CHANNEL):
         result[granularity] = {}
@@ -174,8 +174,8 @@ def qc_ablation(net, dataset, lr: float = 1e-4, batch: int = 32, seed: int = 0) 
                 batch=batch,
             )
             corrected, _ = fit_qc(net, calib_x, calib_y, cfg, seed=seed)
-            after = evaluate(corrected, calib_x, calib_y, mode="quantized")
-            ev = evaluate(corrected, eval_x, eval_y, mode="quantized")
+            after = evaluate(corrected, x, y, rows=dataset.calib_idx)
+            ev = evaluate(corrected, x, y, rows=dataset.eval_idx)
             result[granularity][variant] = {
                 "calib_loss_before": before["loss"],
                 "calib_loss_after": after["loss"],

@@ -250,9 +250,13 @@ def soft_round(w: np.ndarray, q: QuantizerState, c: SoftRoundConfig) -> np.ndarr
     Elements farther than k from their nearest level keep their latent value;
     everything is clipped to the representable range [s*u, s*v].
     """
-    z, r, _ = round_to_grid(w, q)[2]
-    snapped = np.where(np.abs(z - r) <= c.k, r, z)
-    return q.broadcast_scale(z) * np.clip(snapped, q.u, q.v)
+    z, s = _scaled(w, q)  # the one working array, snapped, clipped and scaled in place
+    r = round_half_away(z)
+    dist = np.subtract(z, r, out=np.empty(z.shape))  # an array even when z is 0-d
+    near = np.abs(dist, out=dist) <= c.k
+    np.copyto(z, r, where=near)
+    np.clip(z, q.u, q.v, out=z)
+    return np.multiply(s, z, out=z)
 
 
 def init_scale(
@@ -277,7 +281,8 @@ def init_scale(
 
     abs_w, axes = np.abs(w), _reduce_axes(w.ndim, granularity, axis)
     if kind == "activation":
-        raw = np.percentile(abs_w, 99.9, axis=axes) / denom
+        # abs_w is this call's own array, so the percentile partitions it in place.
+        raw = np.percentile(abs_w, 99.9, axis=axes, overwrite_input=True) / denom
     else:
         raw = abs_w.max(axis=axes) / denom
     s0 = np.maximum(raw, SCALE_FLOOR)

@@ -107,7 +107,8 @@ def reference_quantize_backward(rounding: Rounding, q: QuantizerState, g_out):
     return g_w, g_s
 
 
-def reference_bn_forward(bn: BNParams, h, update_running: bool):
+def reference_bn_forward(bn: BNParams, h, update_running: bool, own: bool = False):
+    # Never writes into h; the output and x_hat are new arrays whatever ``own`` says.
     axes = (0,) if h.ndim == 2 else (0, 2, 3)
     shape = [1] * h.ndim
     shape[1] = bn.channels

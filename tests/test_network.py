@@ -149,6 +149,16 @@ class TestForward:
         assert out.tobytes() == np.array(want_out).tobytes()
         assert d.tobytes() == np.array(want_d).tobytes()
 
+    @pytest.mark.parametrize("kind", ["relu", "silu", "none"])
+    def test_activate_writes_into_h_only_without_grad(self, kind):
+        h = np.concatenate([Rng(22).normal((64,)) * 4.0, [-800.0, -0.0, 0.0]])
+        kept = h.copy()
+        out, _ = _activate(h, kind, grad=True)
+        assert h.tobytes() == kept.tobytes()
+        value, d = _activate(h, kind, grad=False)
+        assert value is h and d is None
+        assert value.tobytes() == out.tobytes()
+
     def test_identity_network(self):
         net = NetworkSpec(
             layers=[dense_layer(np.eye(4))], input_shape=(4,), loss="mse"
@@ -305,6 +315,20 @@ class TestForward:
         assert np.array_equal(out, ref_out)
         assert np.array_equal(bn.running_mean, ref_bn.running_mean)
         assert np.array_equal(bn.running_var, ref_bn.running_var)
+
+    @pytest.mark.parametrize("bn_mode", ["train", "eval"])
+    @pytest.mark.parametrize("shape", [(16, 5), (8, 5, 3, 3)])
+    def test_bn_writes_into_h_only_when_it_owns_it(self, shape, bn_mode):
+        h = Rng(20).normal(shape) * 3.0 + 1.5
+        bn = make_bn(5)
+        bn.mode = bn_mode
+        bn.running_mean[...] = Rng(21).normal((5,))
+        kept = h.copy()
+        out, ctx = _bn_forward(bn.copy(), h, update_running=False)
+        assert np.array_equal(h, kept) and ctx["x_hat"] is not h
+        owned, ctx = _bn_forward(bn.copy(), h, False, own=True)
+        assert owned is h and ctx is None
+        assert np.array_equal(owned, out)
 
     def test_bn_running_stats_update(self):
         layer = dense_layer(np.eye(2), bn=make_bn(2, momentum=0.1))
@@ -636,6 +660,16 @@ class TestCacheFreeForward:
         batch = x[:256].copy()
         _, peak = traced_peak(forward, net, batch)
         assert peak <= 8 * 2**20  # 13.7 MiB when every row was unfolded at once
+
+    def test_frozen_trend_soft_round_forward_is_bounded(self):
+        # 6.3 MiB when soft_round kept z, r and the code beside its result
+        # and batch norm and the nonlinearity made new arrays.
+        rng = Rng(30)
+        x = rng.normal((2000, 1, 4, 4))
+        net = attach_quantizers(build_cnn(rng=rng), x, bits_w=3, bits_a=3).frozen()
+        batch = x[:256].copy()
+        _, peak = traced_peak(forward, net, batch, "soft_round")
+        assert peak <= 5 * 2**20
 
     def test_frozen_wide_mlp_forward_rounds_in_one_array(self):
         # The input layer's rounding set the peak: 4.0x the batch when it

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_reference import reference_quantize_backward
+from test_datasets import traced_peak
 from qatlab.numeric import Rng
 from qatlab.quantizer import (
     PER_CHANNEL,
@@ -267,7 +268,55 @@ class TestQuantizeBackwardReference:
             assert np.array_equal(a, b)
 
 
+def where_soft_round(w, q, k):
+    """soft_round as one np.where over round_to_grid's rounding, the formula
+    that soft_round's in-place working array must reproduce bit for bit."""
+    z, r, _ = round_to_grid(w, q)[2]
+    snapped = np.where(np.abs(z - r) <= k, r, z)
+    return q.broadcast_scale(z) * np.clip(snapped, q.u, q.v)
+
+
+def assert_same_bits(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()  # -0.0 is not 0.0
+
+
 class TestSoftRound:
+    K = (0.0, 0.25, 0.45, 0.5)
+
+    @pytest.mark.parametrize("k", K)
+    @pytest.mark.parametrize("bits,signed", [(4, True), (1, True), (1, False), (3, False)])
+    def test_equals_where_formula(self, k, bits, signed):
+        # s = 0.25 is a power of two, so w = s * (n +- k) puts |z - r| at
+        # exactly k; the grid clips both ends; zeros of either sign and
+        # values that round to -0.0 keep their sign bit.
+        q = qs(0.25, bits=bits, signed=signed)
+        levels = np.arange(-4.0, 5.0)
+        w = np.concatenate([
+            0.25 * np.concatenate([levels + k, levels - k, levels + 0.5, levels]),
+            [0.0, -0.0, -1e-300, 1e-300, -0.1, 0.1, -100.0, 100.0],
+            Rng(40).uniform((512,), -3.0, 3.0),
+        ])
+        cfg = SoftRoundConfig(k=k)
+        assert_same_bits(soft_round(w, q, cfg), where_soft_round(w, q, k))
+        for x in w[::7]:  # 0-d input
+            assert_same_bits(soft_round(np.array(x), q, cfg), where_soft_round(np.array(x), q, k))
+
+    @pytest.mark.parametrize("k", K)
+    def test_per_channel_equals_where_formula(self, k):
+        s = np.array([0.25, 0.1, 0.37])
+        q = QuantizerState(s=s, bits=3, signed=True, granularity=PER_CHANNEL, axis=0)
+        w = Rng(41).uniform((3, 5, 4), -2.0, 2.0)
+        w[:, 0, 0] = [0.0, -0.0, 0.25 * (1 + k)]
+        assert_same_bits(soft_round(w, q, SoftRoundConfig(k=k)), where_soft_round(w, q, k))
+
+    def test_rounds_in_one_working_array(self):
+        # Beside the input: z, r, the distance and a bool mask, 3.13x the
+        # input; the np.where formula peaked at 5.0x.
+        w = Rng(42).uniform((256, 784), -1.0, 1.0)
+        _, peak = traced_peak(soft_round, w, qs(0.05), SoftRoundConfig(k=0.45))
+        assert peak <= 3.5 * w.nbytes
+
     def test_snaps_inside_threshold(self):
         got = soft_round(np.array(0.26), qs(0.1), SoftRoundConfig(k=0.45))
         assert got == pytest.approx(0.3)

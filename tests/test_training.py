@@ -344,7 +344,9 @@ class TestAttachQuantizers:
         x = rng.normal((2000, 16))
         q, peak = traced_peak(attach_quantizers, net, x, bits_w=3, bits_a=3)
         assert q.layers[1].bn.mode == "train"
-        assert peak <= 28 * 1024 * len(x)  # 40 KiB per row with whole-batch patches
+        # 40 KiB per row with whole-batch patches, 18.6 KiB when batch norm
+        # and the nonlinearity made new arrays.
+        assert peak <= 14 * 1024 * len(x)
 
     def test_scales_positive_and_deterministic(self):
         net = self._net()

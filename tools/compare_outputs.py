@@ -15,7 +15,9 @@ Each file that differs or exists in one tree only is printed, and so is
 each call that fails; the exit status is 1 if there is any, else 0.
 
 Each call's peak RSS and minor page faults in both trees are printed too,
-with the largest peak change.  They are the ``ru_maxrss`` (KiB on Linux) and
+with the largest peak change and, for each workload and tree, the largest
+peak of one call, which is what the benchmark's ``peak_rss_mb`` (the peak
+of one process) follows.  They are the ``ru_maxrss`` (KiB on Linux) and
 ``ru_minflt`` that ``os.wait4`` reports for the call's process, which cover
 the worker processes it waited for, such as ``toy``'s forked seeds.  They do
 not affect the exit status.
@@ -102,6 +104,12 @@ def main(argv=None) -> int:
               f" {faults} -> {new_faults} faults")
     label = max(deltas, key=lambda k: abs(deltas[k]))
     print(f"largest peak RSS change: {label}: {deltas[label]:+.2f} MiB")
+    print("largest peak RSS of one call per workload, MiB: parent -> change")
+    for name in WORKLOADS:
+        (peak, at), (new_peak, new_at) = (
+            max((usage[k][0], k) for k in usage if k.startswith(f"{name} "))
+            for usage in (parent_usage, change_usage))
+        print(f"  {name}: {peak:.2f} ({at}) -> {new_peak:.2f} ({new_at})")
     bad = 0
     for label, failed in (("parent", parent_failed), ("change", change_failed)):
         for line in failed:
