@@ -28,14 +28,16 @@ reference, except with a 1x1 output map: there the reference reduces
 (c, i, j) with numpy's vectorised dot kernel, and the forward output can
 differ from it in the last bit.
 
-A forward without a cache keeps no backward state, and its memory is
-bounded by rows: each conv layer unfolds and contracts ROW_BLOCK rows at a
+One layer function, ``_layer_forward``, serves both forwards; its ``keep``
+says whether the layer keeps what the backward reads.  A forward without a
+cache keeps no backward state, and its memory is bounded by rows under two
+blocking rules: each conv layer unfolds and contracts ROW_BLOCK rows at a
 time, and when every batch norm is frozen, so that no layer reduces over
-the batch, all layers before the first dense one run block by block.  The
-bits are the cached forward's, because the conv einsums are elementwise
-along their innermost batch axis.  Dense layers always see every row at
-once: the BLAS matmul gives a row other bits when the row count is not a
-multiple of 4.
+the batch, all layers before the first dense one run block by block, with
+their weights rounded once per call.  The bits are the cached forward's,
+because the conv einsums are elementwise along their innermost batch axis.
+Dense layers always see every row at once: the BLAS matmul gives a row
+other bits when the row count is not a multiple of 4.
 """
 
 import math
@@ -405,59 +407,21 @@ def forward(net: NetworkSpec, x, mode: str = "quantized", k: float = 0.45,
     """Run the network; returns output, or (output, cache) with cache=True.
 
     update_running refreshes BN running statistics (training only).  A pass
-    without the cache keeps nothing for a backward and runs its conv layers
-    in blocks of ROW_BLOCK rows (see the module docstring).
+    without the cache keeps nothing for a backward and runs in blocks of
+    ROW_BLOCK rows (see the module docstring).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise ValueError(f"input shape {x.shape[1:]} != expected {net.input_shape}")
     if mode not in FORWARD_MODES:
         raise ValueError(f"unknown forward mode {mode!r}")
-    if not cache:
-        return _forward_uncached(net, x, mode, k, update_running)
-    a = x
-    caches = []
-    for layer in net.layers:
-        orig_shape = a.shape
-        if layer.kind == DENSE and a.ndim > 2:
-            a = a.reshape(a.shape[0], -1)
-        a_used, a_round = _effective(a, layer.a_quant, mode, k, True)
-        w_used, w_round = _effective(layer.weight, layer.w_quant, mode, k, True)
-        h_lin, cols = _linear(layer, a_used, w_used, keep_cols=True)
-        h = h_lin
-        if layer.qc_gamma is not None:
-            h = apply_correction(h, layer.qc_gamma, layer.qc_beta)
-        bn_ctx = None
-        if layer.bn is not None:
-            h, bn_ctx = _bn_forward(layer.bn, h, update_running)
-        a, nonlin_grad = _activate(h, layer.nonlinearity, grad=True)
-        caches.append(
-            {
-                "orig_shape": orig_shape,
-                "a_used": a_used,
-                "a_round": a_round,
-                "w_used": w_used,
-                "w_round": w_round,
-                "cols": cols,
-                "h_lin": h_lin if layer.qc_gamma is not None else None,
-                "nonlin_grad": nonlin_grad,
-                "bn_ctx": bn_ctx,
-            }
-        )
-    return a, {"mode": mode, "layers": caches}
-
-
-def _forward_uncached(net, x, mode, k, update_running):
-    """forward without a cache.  With every batch norm frozen, the layers
-    before the first dense one see each row alone, so they run block by
-    block; the layers after them, and every layer of a net whose batch norm
-    takes batch statistics, see all rows at once."""
     layers = net.layers
     stem = 0
-    if all(layer.bn is None or layer.bn.mode == "eval" for layer in layers):
+    if not cache and all(layer.bn is None or layer.bn.mode == "eval" for layer in layers):
         stem = next((i for i, layer in enumerate(layers) if layer.kind == DENSE), len(layers))
     a = x
     if stem:
+        # No layer before the first dense one mixes rows: run them block by block.
         weights = [_effective(layer.weight, layer.w_quant, mode, k, False)[0]
                    for layer in layers[:stem]]
         shape = net.input_shape
@@ -467,31 +431,43 @@ def _forward_uncached(net, x, mode, k, update_running):
         for rows in _row_blocks(len(x)):
             block = x[rows]
             for layer, w_used in zip(layers[:stem], weights):
-                block = _layer_output(layer, block, mode, k, update_running, w_used)
+                block = _layer_forward(layer, block, mode, k, update_running, False, w_used)[0]
             a[rows] = block
+    caches = []
     for layer in layers[stem:]:
-        a = _layer_output(layer, a, mode, k, update_running)
-    return a
+        a, ctx = _layer_forward(layer, a, mode, k, update_running, cache)
+        caches.append(ctx)
+    return (a, {"mode": mode, "layers": caches}) if cache else a
 
 
-def _layer_output(layer, a, mode, k, update_running, w_used=None):
-    """One layer's output on the rows of ``a``, holding no intermediate
-    past its last use (batch norm and the nonlinearity write into the
-    linear op's output).  Unless the caller passes it, the effective weight
-    is computed after the input's, so it is not held while the input
-    rounds: that is a wide dense layer's peak."""
+def _layer_forward(layer, a, mode, k, update_running, keep, w_used=None):
+    """One layer's output on the rows of ``a`` and, with ``keep``, the
+    context backward reads (else None).  Without ``keep`` no intermediate
+    is held past its last use: batch norm and the nonlinearity write into
+    the linear op's output.  Unless the caller passes it, the effective
+    weight is computed after the input's, so a cache-free pass does not hold
+    it while the input rounds: that is a wide dense layer's peak."""
+    orig_shape = a.shape
     if layer.kind == DENSE and a.ndim > 2:
         a = a.reshape(a.shape[0], -1)
-    a = _effective(a, layer.a_quant, mode, k, False)[0]
+    a, a_round = _effective(a, layer.a_quant, mode, k, keep)
+    w_round = None
     if w_used is None:
-        w_used = _effective(layer.weight, layer.w_quant, mode, k, False)[0]
-    h = _linear(layer, a, w_used)[0]
+        w_used, w_round = _effective(layer.weight, layer.w_quant, mode, k, keep)
+    h, cols = _linear(layer, a, w_used, keep_cols=keep)
+    ctx = {"orig_shape": orig_shape, "a_used": a, "a_round": a_round, "w_used": w_used,
+           "w_round": w_round, "cols": cols,
+           "h_lin": h if layer.qc_gamma is not None else None} if keep else None
     del a
     if layer.qc_gamma is not None:
         h = apply_correction(h, layer.qc_gamma, layer.qc_beta)
+    bn_ctx = None
     if layer.bn is not None:
-        h = _bn_forward(layer.bn, h, update_running, own=True)[0]
-    return _activate(h, layer.nonlinearity, grad=False)[0]
+        h, bn_ctx = _bn_forward(layer.bn, h, update_running, own=not keep)
+    out, nonlin_grad = _activate(h, layer.nonlinearity, grad=keep)
+    if keep:
+        ctx.update(nonlin_grad=nonlin_grad, bn_ctx=bn_ctx)
+    return out, ctx
 
 
 def backward(net: NetworkSpec, cache, loss_grad, wanted=None):

@@ -19,6 +19,7 @@ from .quantizer import (
     SCALE_FLOOR,
     QuantizerState,
     integer_code,
+    integer_range,
     quantize,
     quantize_backward,
     round_to_grid,
@@ -60,8 +61,8 @@ class ToyProblem:
             raise ValueError("w_star must be a non-empty 1-d array of finite numbers")
         if not (self.s_w0 > 0 and self.s_x0 > 0):
             raise ValueError("s_w0 and s_x0 must be positive")
-        if self.bits_w < 1 or self.bits_x < 1:
-            raise ValueError("bit widths must be >= 1")
+        integer_range(self.bits_w, signed=True)
+        integer_range(self.bits_x, signed=False)
         if self.steps <= 0 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be positive")
         if self.lr <= 0:

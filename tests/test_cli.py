@@ -684,6 +684,7 @@ class TestErrors:
         "override",
         ["batch=[1]", 'lr="fast"', 'dampening_lambda="x"', "seeds=[true]", "bits_w=true",
          "dataset.mode=blobs", 'toy.steps="5"', "toy.steps=true", "toy.bits_w=1.5",
+         "toy.bits_w=60", "toy.bits_x=54",
          "toy.ema_alpha=1.0", 'ema.enabled="no"', 'ema.warmup_frac="x"', "ema.warmup_frac=-1",
          "qc.batch=[1]", 'qc.lr="x"', 'dataset.n="5"', 'dataset.noise="x"', "dataset.kind=idx",
          'dataset.teacher="x"', "seeds=[-1]", "seeds=[340282366920938463463374607431768211456]",

@@ -626,11 +626,12 @@ class TestConvBitIdentity:
 
 
 class TestCacheFreeForward:
-    """A forward without a cache unfolds conv layers ROW_BLOCK rows at a
-    time, and with frozen batch norm runs the whole conv stem block by
-    block; its output must equal the cached forward's bit for bit on
-    either side of a block boundary.  The last row count is odd, so a
-    dense layer run in blocks would change bits there too."""
+    """One layer function serves both passes.  Without a cache it unfolds
+    conv layers ROW_BLOCK rows at a time, and with frozen batch norm the
+    forward runs the whole conv stem block by block; its output must equal
+    the cached forward's bit for bit on either side of a block boundary.
+    The last row count is odd, so a dense layer run in blocks would change
+    bits there too.  What each pass rounds and keeps is pinned as well."""
 
     ROWS = (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3)
 
@@ -652,6 +653,35 @@ class TestCacheFreeForward:
             cached, _ = forward(net, x, mode, cache=True)
             assert out.flags.c_contiguous
             assert np.array_equal(out, cached), rows
+
+    def test_frozen_trend_forward_rounds_stem_weights_once(self, rounding_calls):
+        # The stem weights round once per call, then each stem input once
+        # per block; the dense layer rounds every row at once.
+        rng = Rng(30)
+        x = rng.normal((2 * ROW_BLOCK + 3, 1, 4, 4))
+        net = attach_quantizers(build_cnn(rng=rng), x, bits_w=3, bits_a=3).frozen()
+        rounding_calls.clear()
+        forward(net, x)
+        expected = [(8, 1, 3, 3), (16, 8, 3, 3), (16, 1, 3, 3), (32, 16, 3, 3)]
+        for rows in (ROW_BLOCK, ROW_BLOCK, 3):
+            expected += [(rows, 1, 4, 4), (rows, 8, 4, 4), (rows, 16, 4, 4), (rows, 16, 4, 4)]
+        expected += [(len(x), 512), (3, 512)]
+        assert rounding_calls == expected and len(expected) == 18
+
+    def test_cache_keeps_linear_output_only_where_corrected(self):
+        # Backward reads h_lin for the correction's gradients; batch norm
+        # must not have normalised it in place.
+        rng = Rng(32)
+        net = trend_net_with_corrections(rng)
+        for layer in net.layers[1::2]:
+            layer.qc_gamma = layer.qc_beta = None
+        _, cache = forward(net, rng.normal((5, 1, 4, 4)), cache=True, update_running=True)
+        for layer, ctx in zip(net.layers, cache["layers"]):
+            if layer.qc_gamma is None:
+                assert ctx["h_lin"] is None
+            else:
+                h_lin = network._linear(layer, ctx["a_used"], ctx["w_used"])[0]
+                assert np.array_equal(ctx["h_lin"], h_lin)
 
     def test_frozen_trend_forward_is_bounded(self):
         rng = Rng(30)

@@ -14,13 +14,13 @@ sha256; a manifest is hashed as its JSON less ``wall_time_s``, so its ``final``
 Each file that differs or exists in one tree only is printed, and so is
 each call that fails; the exit status is 1 if there is any, else 0.
 
-Each call's peak RSS and minor page faults in both trees are printed too,
-with the largest peak change and, for each workload and tree, the largest
-peak of one call, which is what the benchmark's ``peak_rss_mb`` (the peak
-of one process) follows.  They are the ``ru_maxrss`` (KiB on Linux) and
-``ru_minflt`` that ``os.wait4`` reports for the call's process, which cover
-the worker processes it waited for, such as ``toy``'s forked seeds.  They do
-not affect the exit status.
+Each call's CPU seconds, peak RSS and minor page faults in both trees are
+printed too, with the largest peak change and, for each workload and tree,
+the largest peak of one call, which is what the benchmark's ``peak_rss_mb``
+(the peak of one process) follows.  They are the ``ru_utime + ru_stime``,
+``ru_maxrss`` (KiB on Linux) and ``ru_minflt`` that ``os.wait4`` reports for
+the call's process, which cover the worker processes it waited for, such as
+``toy``'s forked seeds.  They do not affect the exit status.
 """
 
 import hashlib
@@ -44,7 +44,7 @@ def run_tree(tree: Path, out: Path) -> tuple:
     """Make every workload call with ``tree``'s CLI under ``out``, then a
     report over their run directories; returns ({relative path: sha256} of
     the files left there, [failed calls], {call: (peak RSS in MiB, minor
-    page faults)})."""
+    page faults, CPU seconds)})."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1"}
     failed = []
     usages = {}
@@ -55,7 +55,8 @@ def run_tree(tree: Path, out: Path) -> tuple:
                                     env=env, stdout=subprocess.DEVNULL, stderr=err)
             _, status, usage = os.wait4(proc.pid, 0)
             proc.returncode = os.waitstatus_to_exitcode(status)
-            usages[label] = usage.ru_maxrss / 1024.0, usage.ru_minflt
+            usages[label] = (usage.ru_maxrss / 1024.0, usage.ru_minflt,
+                             usage.ru_utime + usage.ru_stime)
             if proc.returncode != 0:
                 err.seek(0)
                 stderr = err.read().decode(errors="replace")
@@ -96,12 +97,13 @@ def main(argv=None) -> int:
             shutil.rmtree(out, ignore_errors=True)
     (parent, parent_failed, parent_usage), (change, change_failed, change_usage) = runs
     # Both trees make the same calls, so both have a peak for every label.
-    deltas = {label: change_usage[label][0] - peak for label, (peak, _) in parent_usage.items()}
-    print("peak RSS per call, MiB, and minor page faults: parent -> change")
+    deltas = {label: change_usage[label][0] - usage[0] for label, usage in parent_usage.items()}
+    print("peak RSS per call, MiB, minor page faults and CPU seconds: parent -> change")
     for label, delta in deltas.items():
-        (peak, faults), (new_peak, new_faults) = parent_usage[label], change_usage[label]
+        (peak, faults, cpu), (new_peak, new_faults, new_cpu) = (
+            parent_usage[label], change_usage[label])
         print(f"  {label}: {peak:.2f} -> {new_peak:.2f} MiB ({delta:+.2f}),"
-              f" {faults} -> {new_faults} faults")
+              f" {faults} -> {new_faults} faults, {cpu:.2f} -> {new_cpu:.2f} s CPU")
     label = max(deltas, key=lambda k: abs(deltas[k]))
     print(f"largest peak RSS change: {label}: {deltas[label]:+.2f} MiB")
     print("largest peak RSS of one call per workload, MiB: parent -> change")
